@@ -90,7 +90,7 @@ proptest! {
     /// same key set.
     #[test]
     fn dense_cone_sizes_match_baseline(g in arb_graph()) {
-        let dense = cone::customer_cone_sizes(&g);
+        let dense = cone::customer_cone_sizes_csr(&CsrGraph::build(&g));
         let reference = cone::baseline::customer_cone_sizes_btree(&g);
         prop_assert_eq!(dense.len(), reference.len());
         for (asn, size) in dense.iter() {

@@ -1,23 +1,9 @@
-//! Shared experiment plumbing for the `experiments` binary and the criterion
-//! benches.
+//! Shared experiment plumbing for the `experiments` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use breval_core::{Scenario, ScenarioConfig};
 use std::path::Path;
-
-/// Runs (or reuses) the default paper-scale scenario.
-#[must_use]
-pub fn default_scenario() -> Scenario {
-    Scenario::run(ScenarioConfig::default())
-}
-
-/// Runs the small test-scale scenario.
-#[must_use]
-pub fn small_scenario(seed: u64) -> Scenario {
-    Scenario::run(ScenarioConfig::small(seed))
-}
 
 /// Writes `content` under `results/<name>`, creating directories as needed.
 pub fn write_result(dir: &Path, name: &str, content: &str) -> std::io::Result<()> {

@@ -40,8 +40,7 @@ pub enum Query {
 }
 
 impl Query {
-    /// The query-kind label used for per-kind observability counters and
-    /// the qpsbench latency histograms.
+    /// The query-kind label used for per-kind observability counters.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -54,9 +53,6 @@ impl Query {
         }
     }
 }
-
-/// Every query kind, in grammar order (used by qpsbench's mix table).
-pub const QUERY_KINDS: [&str; 6] = ["cone", "member", "class", "ascov", "slice", "stats"];
 
 /// Parses one request line. Errors are static grammar hints, never panics.
 pub fn parse(line: &str) -> Result<Query, &'static str> {

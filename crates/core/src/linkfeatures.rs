@@ -188,9 +188,9 @@ pub fn error_by_feature_quartile(
     let labels = ["q1 (low)", "q2", "q3", "q4 (high)"];
     (0..4)
         .map(|q| {
-            let lo = q * n / 4;
-            let hi = ((q + 1) * n / 4).max(lo + 1).min(n);
-            let slice = &pairs[lo..hi.max(lo)];
+            // With fewer than 4 links some buckets stay empty (0 links,
+            // 0.0 error rate) so that every link is counted exactly once.
+            let slice = &pairs[q * n / 4..(q + 1) * n / 4];
             let errors = slice.iter().filter(|(_, wrong)| *wrong).count();
             FeatureErrorRow {
                 feature,
@@ -296,6 +296,17 @@ mod tests {
         assert_eq!(total, scored.len());
         for r in &rows {
             assert!(r.error_rate >= 0.0 && r.error_rate <= 1.0);
+        }
+        // Fewer links than buckets: each link still lands in exactly one.
+        for n in 1..=3 {
+            let rows = error_by_feature_quartile(&scored[..n], &metrics, "visibility", |m| {
+                m.visibility as f64
+            });
+            assert_eq!(rows.len(), 4);
+            assert_eq!(rows.iter().map(|r| r.links).sum::<usize>(), n);
+            for r in rows.iter().filter(|r| r.links == 0) {
+                assert_eq!(r.error_rate, 0.0);
+            }
         }
     }
 }

@@ -28,8 +28,8 @@
 //! lengths and structural invariants and return [`SnapshotError`] — never a
 //! panic, never an attacker-sized allocation. A warm load is a handful of
 //! bulk reads, so re-analysing a built scenario costs milliseconds instead
-//! of re-running topogen + bgpsim + inference (`BENCH_snap.json` records the
-//! ratio).
+//! of re-running topogen + bgpsim + inference (`tests/snapshot_roundtrip.rs`
+//! asserts a ≥ 50× warm start).
 
 use crate::metrics::{confusion, ScoredLink};
 use crate::pipeline::ScenarioConfig;
@@ -370,8 +370,8 @@ impl ScenarioSnapshot {
     /// A deterministic text summary of everything the snapshot holds —
     /// node/link counts, cone totals, PPDC shape, and per-relationship-class
     /// confusion counts from the scored join. Cold-built and warm-loaded
-    /// snapshots of the same scenario must render byte-identically; CI diffs
-    /// exactly that.
+    /// snapshots of the same scenario must render byte-identically
+    /// (`tests/snapshot_roundtrip.rs`).
     #[must_use]
     pub fn summary_csv(&self) -> String {
         let mut out = String::new();

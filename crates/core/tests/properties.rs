@@ -2,10 +2,14 @@
 //! normalisation, coverage accounting, cleaning invariants.
 
 use asgraph::{Asn, Link, Rel, RelClass};
+use breval_core::classes::LinkClassifier;
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
+use breval_core::coverage::{coverage_by_class, coverage_by_class_keyed};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
 use breval_core::metrics::{confusion, ConfusionMatrix, ScoredLink};
+use breval_core::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use valdata::{LabelSource, ValidationSet};
 
 fn arb_rel() -> impl Strategy<Value = Rel> {
@@ -189,4 +193,40 @@ fn degenerate_matrices_are_finite() {
             }
         }
     }
+}
+
+/// On a real scenario, the keyed coverage kernel (compact class keys,
+/// labels materialised at the end) yields exactly the rows of the
+/// string-keyed form, for both the region and the topology classifier.
+#[test]
+fn keyed_coverage_equals_string_coverage_on_small_scenario() {
+    let scenario = Scenario::run(ScenarioConfig::small(42));
+    let c = &scenario.classifier;
+    let inferred = &scenario.inferred_links;
+    let validated: BTreeSet<Link> = scenario.validation.labels.keys().copied().collect();
+    assert!(!validated.is_empty());
+
+    let region_keyed = coverage_by_class_keyed(
+        inferred,
+        &validated,
+        |l| c.region_class(l),
+        |class| class.label(),
+    );
+    let region_strings = coverage_by_class(inferred, &validated, |l| {
+        c.region_class(l).map(|class| class.label())
+    });
+    assert!(!region_keyed.is_empty());
+    assert_eq!(region_keyed, region_strings);
+
+    let topo_keyed = coverage_by_class_keyed(
+        inferred,
+        &validated,
+        |l| c.region_class(l).map(|_| c.topo_pair_id(l)),
+        |code| LinkClassifier::topo_pair_label(*code).to_string(),
+    );
+    let topo_strings = coverage_by_class(inferred, &validated, |l| {
+        c.region_class(l).map(|_| c.topo_class(l))
+    });
+    assert!(!topo_keyed.is_empty());
+    assert_eq!(topo_keyed, topo_strings);
 }

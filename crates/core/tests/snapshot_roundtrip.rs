@@ -7,6 +7,7 @@ use breval_core::snapshot::{ScenarioSnapshot, SnapshotError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 const CLASSIFIERS: [&str; 4] = ["asrank", "problink", "toposcope", "gao"];
 
@@ -134,4 +135,57 @@ fn ppdc_heatmaps_follow_the_requested_classifier() {
     // The default entry point keeps the paper's ASRank view.
     let (inf_default, _) = s.heatmaps(HeatmapMetric::Ppdc);
     assert_eq!(inf_default.cells, inf_a.cells);
+}
+
+/// One classifier's labelled coverage summary, the byte-identity probe of
+/// the warm-start test.
+fn labelled_summary(name: &str, snap: &ScenarioSnapshot) -> String {
+    format!("# classifier: {name}\n{}", snap.summary_csv())
+}
+
+#[test]
+fn warm_reload_reproduces_cold_summaries_at_least_50x_faster() {
+    // Warm start from persisted snapshots must reproduce the cold analysis
+    // byte for byte and beat cold build + save by at least this factor.
+    const MIN_SPEEDUP: f64 = 50.0;
+    let config = ScenarioConfig::small(42);
+    let dir = temp_dir("warm");
+    // One thread, as the cap lock also keeps the other cap-scoped tests of
+    // this binary out of the timed window.
+    let (cold, warm, cold_summary, warm_summary) = breval_par::with_thread_cap(Some(1), || {
+        let t = Instant::now();
+        let scenario = Scenario::run(config.clone());
+        let cold_summary: String = CLASSIFIERS
+            .iter()
+            .map(|name| {
+                scenario
+                    .save_snapshot(&dir, name)
+                    .unwrap_or_else(|e| panic!("saving {name}: {e}"));
+                labelled_summary(name, &scenario.snapshot_arc(name))
+            })
+            .collect();
+        let cold = t.elapsed();
+
+        let t = Instant::now();
+        let warm_summary: String = CLASSIFIERS
+            .iter()
+            .map(|name| {
+                let snap = Scenario::load_snapshot(&dir, &config, name)
+                    .unwrap_or_else(|e| panic!("loading {name}: {e}"));
+                labelled_summary(name, &snap)
+            })
+            .collect();
+        (cold, t.elapsed(), cold_summary, warm_summary)
+    });
+
+    assert_eq!(
+        cold_summary, warm_summary,
+        "warm summaries differ from cold"
+    );
+    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "warm reload only {speedup:.1}× faster than cold build + save \
+         ({cold:?} vs {warm:?}; need ≥ {MIN_SPEEDUP}×)"
+    );
 }

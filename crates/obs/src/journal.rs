@@ -30,12 +30,10 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use crate::enabled;
+use crate::{enabled, lock};
 
 /// Environment variable controlling the journal switch (`1`/`true`/`on`
 /// enables; requires `BREVAL_OBS` to be on as well).
@@ -145,7 +143,7 @@ fn with_buf(f: impl FnOnce(&ThreadBuf)) {
                     .to_owned(),
                 events: Mutex::new(Vec::new()),
             });
-            THREAD_BUFS.lock().push(Arc::clone(&buf));
+            lock(&THREAD_BUFS).push(Arc::clone(&buf));
             buf
         });
         f(buf);
@@ -157,7 +155,7 @@ fn with_buf(f: impl FnOnce(&ThreadBuf)) {
 pub(crate) fn record_begin(path: &str, allocs: u64, bytes: u64) {
     let ts_ns = clock_ns();
     with_buf(|buf| {
-        buf.events.lock().push(Event::Begin {
+        lock(&buf.events).push(Event::Begin {
             ts_ns,
             name: path.to_owned(),
             allocs,
@@ -171,7 +169,7 @@ pub(crate) fn record_begin(path: &str, allocs: u64, bytes: u64) {
 pub(crate) fn record_end(allocs: u64, bytes: u64) {
     let ts_ns = clock_ns();
     with_buf(|buf| {
-        buf.events.lock().push(Event::End {
+        lock(&buf.events).push(Event::End {
             ts_ns,
             allocs,
             bytes,
@@ -183,7 +181,7 @@ pub(crate) fn record_end(allocs: u64, bytes: u64) {
 pub(crate) fn record_counter(name: &str, delta: u64) {
     let ts_ns = clock_ns();
     with_buf(|buf| {
-        buf.events.lock().push(Event::Counter {
+        lock(&buf.events).push(Event::Counter {
             ts_ns,
             name: name.to_owned(),
             delta,
@@ -194,8 +192,8 @@ pub(crate) fn record_counter(name: &str, delta: u64) {
 /// Discards all journaled events (buffers stay registered). Called by
 /// [`crate::reset`] so a fresh run starts with an empty timeline.
 pub(crate) fn journal_reset() {
-    for buf in THREAD_BUFS.lock().iter() {
-        buf.events.lock().clear();
+    for buf in lock(&THREAD_BUFS).iter() {
+        lock(&buf.events).clear();
     }
 }
 
@@ -231,7 +229,7 @@ fn us(ns: u64) -> f64 {
 /// spans (begin without end at drain time) are dropped.
 #[must_use]
 pub fn trace_json() -> String {
-    let bufs: Vec<Arc<ThreadBuf>> = THREAD_BUFS.lock().clone();
+    let bufs: Vec<Arc<ThreadBuf>> = lock(&THREAD_BUFS).clone();
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;
     let mut push_event = |out: &mut String, body: &str| {
@@ -242,7 +240,7 @@ pub fn trace_json() -> String {
         out.push_str(body);
     };
     for buf in &bufs {
-        let events = buf.events.lock();
+        let events = lock(&buf.events);
         if events.is_empty() {
             continue;
         }
@@ -330,7 +328,7 @@ mod tests {
 
     #[test]
     fn clock_is_zero_when_disabled_and_monotone_when_on() {
-        let _t = crate::tests::TEST_LOCK.lock();
+        let _t = lock(&crate::tests::TEST_LOCK);
         crate::set_enabled(false);
         assert_eq!(clock_ns(), 0);
         crate::set_enabled(true);
@@ -342,7 +340,7 @@ mod tests {
 
     #[test]
     fn journal_records_nested_slices_and_counters() {
-        let _t = crate::tests::TEST_LOCK.lock();
+        let _t = lock(&crate::tests::TEST_LOCK);
         crate::set_enabled(true);
         crate::set_journal_enabled(true);
         crate::reset();

@@ -64,15 +64,21 @@ pub use labels::{LabelRegistry, REGISTRY_TEXT};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 /// `STATE` values: 0 = uninitialised, 1 = off, 2 = on.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
+
+/// Locks a mutex, ignoring poisoning: a panic while holding the registry or
+/// a journal buffer leaves plain data behind, which stays usable.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Environment variable controlling the global switch.
 pub const ENV_VAR: &str = "BREVAL_OBS";
@@ -106,7 +112,7 @@ pub fn set_enabled(on: bool) {
 /// Clears all recorded spans, metrics, and journaled events. The on/off
 /// switches are unchanged.
 pub fn reset() {
-    *REGISTRY.lock() = Registry::new();
+    *lock(&REGISTRY) = Registry::new();
     journal::journal_reset();
 }
 
@@ -274,7 +280,7 @@ impl SpanActive {
         if journal::journal_enabled() {
             journal::record_end(allocs1, bytes1);
         }
-        let mut reg = REGISTRY.lock();
+        let mut reg = lock(&REGISTRY);
         let accum = reg.spans.entry(self.path).or_default();
         accum.calls += 1;
         accum.total_ns += elapsed;
@@ -431,8 +437,7 @@ pub fn adopt_context(parent: Option<&str>) -> ContextGuard {
 /// wall-clock without touching `std::time` directly (lint L004).
 #[must_use]
 pub fn span_wall_ms(path: &str) -> f64 {
-    REGISTRY
-        .lock()
+    lock(&REGISTRY)
         .spans
         .get(path)
         .map_or(0.0, |a| a.total_ns as f64 / 1e6)
@@ -448,7 +453,7 @@ pub fn counter(name: &str, delta: u64) {
         journal::record_counter(name, delta);
     }
     let path = SPAN_STACK.with(|s| s.borrow().last().cloned());
-    let mut reg = REGISTRY.lock();
+    let mut reg = lock(&REGISTRY);
     *reg.counters.entry(name.to_owned()).or_insert(0) += delta;
     if let Some(path) = path {
         *reg.span_counters
@@ -462,7 +467,7 @@ pub fn counter(name: &str, delta: u64) {
 /// Current global total of counter `name` (0 if never incremented).
 #[must_use]
 pub fn counter_value(name: &str) -> u64 {
-    REGISTRY.lock().counters.get(name).copied().unwrap_or(0)
+    lock(&REGISTRY).counters.get(name).copied().unwrap_or(0)
 }
 
 /// Sets gauge `name` to `value` (last write wins).
@@ -470,7 +475,7 @@ pub fn gauge_set(name: &str, value: f64) {
     if !enabled() {
         return;
     }
-    REGISTRY.lock().gauges.insert(name.to_owned(), value);
+    lock(&REGISTRY).gauges.insert(name.to_owned(), value);
 }
 
 /// Records `value` into histogram `name` (power-of-two buckets).
@@ -478,7 +483,7 @@ pub fn histogram_record(name: &str, value: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock();
+    let mut reg = lock(&REGISTRY);
     reg.histograms
         .entry(name.to_owned())
         .or_default()
@@ -493,7 +498,7 @@ pub fn histogram_merge(name: &str, local: &Histogram) {
     if !enabled() || local.count == 0 {
         return;
     }
-    let mut reg = REGISTRY.lock();
+    let mut reg = lock(&REGISTRY);
     reg.histograms
         .entry(name.to_owned())
         .or_default()
@@ -579,7 +584,7 @@ impl RunManifest {
     /// untouched; call [`reset`] to start a fresh run.
     #[must_use]
     pub fn capture(scenario: &str, seed: u64) -> Self {
-        let reg = REGISTRY.lock();
+        let reg = lock(&REGISTRY);
         let mut paths: Vec<&String> = reg.spans.keys().collect();
         for p in reg.span_counters.keys() {
             if !reg.spans.contains_key(p) {
@@ -741,7 +746,7 @@ pub(crate) mod tests {
 
     #[test]
     fn nested_spans_aggregate_under_parent_paths() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         {
@@ -775,7 +780,7 @@ pub(crate) mod tests {
 
     #[test]
     fn adopted_context_nests_spans_and_counters_across_threads() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         {
@@ -807,7 +812,7 @@ pub(crate) mod tests {
 
     #[test]
     fn adopt_context_is_inert_when_disabled_or_parentless() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         {
@@ -827,7 +832,7 @@ pub(crate) mod tests {
 
     #[test]
     fn histogram_bucket_boundaries() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         // 0 → bucket upper 0; 1 → upper 1; 2,3 → upper 3; 4 → upper 7.
@@ -844,7 +849,7 @@ pub(crate) mod tests {
 
     #[test]
     fn disabled_mode_records_nothing() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(false);
         reset();
         {
@@ -865,7 +870,7 @@ pub(crate) mod tests {
 
     #[test]
     fn manifest_serializes_and_renders() {
-        let _t = TEST_LOCK.lock();
+        let _t = lock(&TEST_LOCK);
         set_enabled(true);
         reset();
         {

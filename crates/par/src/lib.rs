@@ -463,63 +463,6 @@ where
         .collect()
 }
 
-pub mod baseline {
-    //! Spawn-per-call reference implementation, kept solely so
-    //! `experiments parbench` can measure the resident pool's per-call
-    //! overhead win against the old behaviour. Not used by the pipeline.
-
-    use super::{max_threads, StealQueue};
-
-    /// The pre-pool [`parallel_map`](super::parallel_map): identical
-    /// work-stealing queue and index-ordered assembly, but spawns fresh
-    /// worker threads via `crossbeam::scope` on every call.
-    pub fn parallel_map_spawn<T, F>(n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = max_threads().min(n);
-        if workers <= 1 {
-            return (0..n).map(&f).collect();
-        }
-        let queue = StealQueue::new(n, workers);
-        let parent = breval_obs::current_path();
-        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
-        crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let queue = &queue;
-                    let f = &f;
-                    let parent = parent.as_deref();
-                    s.spawn(move |_| {
-                        let _ctx = breval_obs::adopt_context(parent);
-                        let mut out = Vec::new();
-                        while let Some(i) = queue.next(me) {
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                tagged.extend(h.join().expect("breval-par baseline worker panicked"));
-            }
-        })
-        .expect("breval-par baseline scope");
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (i, v) in tagged {
-            slots[i] = Some(v);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index processed exactly once"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,30 +650,20 @@ mod tests {
     }
 
     #[test]
-    fn baseline_spawn_map_matches_pool_map() {
-        let _t = locked();
-        set_max_threads(Some(4));
-        let pool = parallel_map(50, |i| i * 3);
-        let spawn = baseline::parallel_map_spawn(50, |i| i * 3);
-        assert_eq!(pool, spawn);
-        set_max_threads(None);
-    }
-
-    #[test]
     fn pool_health_counters_flush_to_the_submitting_stage() {
         let _t = locked();
         breval_obs::set_enabled(true);
         breval_obs::reset();
         set_max_threads(Some(3));
         {
-            let _outer = breval_obs::span("parbench_pool_map");
+            let _outer = breval_obs::span("pool_health_probe");
             let _ = parallel_map(40, |i| i);
         }
         let m = breval_obs::RunManifest::capture("par-health", 0);
         let stage = m
             .stages
             .iter()
-            .find(|s| s.name == "parbench_pool_map")
+            .find(|s| s.name == "pool_health_probe")
             .expect("span recorded");
         assert_eq!(stage.counters.get("pool_items_total"), Some(&40));
         assert_eq!(stage.counters.get("pool_jobs_submitted"), Some(&2));
@@ -743,7 +676,7 @@ mod tests {
         let slices = m
             .stages
             .iter()
-            .find(|s| s.name == "parbench_pool_map/pool_worker")
+            .find(|s| s.name == "pool_health_probe/pool_worker")
             .expect("pool_worker slices recorded");
         assert_eq!(slices.calls, 3);
         // Item latencies land in the histogram with quantiles populated.

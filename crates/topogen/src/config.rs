@@ -239,8 +239,8 @@ impl TopologyConfig {
         }
     }
 
-    /// A scale-tier configuration with `total` ASes (used by `scalebench` at
-    /// 10k / 100k / 1M). Keeps the default mechanism knobs; only the
+    /// A scale-tier configuration with `total` ASes (10k in bgpsim's
+    /// bounded-propagation test). Keeps the default mechanism knobs; only the
     /// population scales: ~15 % transits, the rest stubs. Per-region ASN
     /// *extension* pools absorb populations beyond the base registry pools.
     #[must_use]

@@ -1192,8 +1192,8 @@ mod tests {
     fn scaled_config_generates_and_stays_acyclic() {
         // A scale tier beyond the shipped configs: exercises the Fenwick
         // pick path end-to-end (pools larger than the exact-path cutoff are
-        // covered by scalebench; here we check the scaled constructor's
-        // population plumbing at a size unit tests can afford).
+        // covered by the picker's unit tests; here we check the scaled
+        // constructor's population plumbing at a size unit tests can afford).
         let cfg = TopologyConfig::scaled(4_000, 5);
         let t = generate(&cfg);
         assert_eq!(t.as_count(), cfg.total_ases());

@@ -235,7 +235,7 @@ impl Topology {
     /// FNV-1a 64 digest over the full topology (every AS record, link,
     /// vantage point, and IXP, via the deterministic `Debug` rendering,
     /// streamed — no intermediate string). Used by the generator's
-    /// byte-identity regression tests and `scalebench` to pin the streaming
+    /// byte-identity regression tests to pin the streaming
     /// builder to the historical output at existing seeds and sizes.
     #[must_use]
     pub fn digest(&self) -> u64 {

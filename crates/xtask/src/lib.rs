@@ -39,5 +39,4 @@ pub mod report;
 pub mod resolve;
 pub mod rules;
 pub mod rules_flow;
-pub mod scalecheck;
 pub mod tokens;

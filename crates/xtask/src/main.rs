@@ -18,10 +18,6 @@
 //!   `BENCH_obs.json` against the committed baseline
 //!   (`crates/xtask/baselines/bench_obs_small.json`); exit 1 on any wall or
 //!   allocation regression.
-//! * `scalecheck [--file P]` — validate `BENCH_scale.json`'s 10k tier
-//!   against the absolute structural floors in `xtask::scalecheck`
-//!   (bounded-memory propagation, hybrid-cone compression); exit 1 on any
-//!   violation.
 
 #![forbid(unsafe_code)]
 
@@ -39,13 +35,11 @@ fn main() -> ExitCode {
         Some("sanitize") => run_sanitize(&args[1..]),
         Some("obsreport") => run_obsreport(&args[1..]),
         Some("obscheck") => run_obscheck(&args[1..]),
-        Some("scalecheck") => run_scalecheck(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <lint [--format json] [files…] \
                  | deepcheck [--format json] | sanitize [--seed N] \
-                 | obsreport [--file P] | obscheck [--fresh P] [--baseline P] \
-                 | scalecheck [--file P]>"
+                 | obsreport [--file P] | obscheck [--fresh P] [--baseline P]>"
             );
             ExitCode::from(2)
         }
@@ -188,33 +182,6 @@ fn run_obscheck(args: &[String]) -> ExitCode {
         fresh_path.display(),
         baseline_path.display(),
         report.regressions.len()
-    );
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_scalecheck(args: &[String]) -> ExitCode {
-    let path = flag_value(args, "--file")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| workspace_root().join("BENCH_scale.json"));
-    let doc = match load_json(&path) {
-        Ok(doc) => doc,
-        Err(code) => return code,
-    };
-    let report = xtask::scalecheck::check(&doc, &xtask::scalecheck::Floors::default());
-    for note in &report.notes {
-        println!("scalecheck: note — {note}");
-    }
-    for v in &report.violations {
-        println!("VIOLATION {v}");
-    }
-    println!(
-        "scalecheck: validated 10k tier of {}: {} violation(s)",
-        path.display(),
-        report.violations.len()
     );
     if report.is_clean() {
         ExitCode::SUCCESS

@@ -630,7 +630,7 @@ mod tests {
         // A few landmark functions must resolve by suffix.
         for suffix in [
             "breval_core::pipeline::Scenario::run",
-            "asgraph::cone::customer_cone_sizes",
+            "asgraph::cone::customer_cone_sizes_csr",
             "breval_par::parallel_map",
         ] {
             assert!(

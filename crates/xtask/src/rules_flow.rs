@@ -752,7 +752,7 @@ fn l010_scan(ws: &Workspace, id: usize, out: &mut Vec<Violation>) {
 // L011 — parallel-closure hygiene
 // ---------------------------------------------------------------------
 
-const PAR_FNS: [&str; 3] = ["parallel_map", "parallel_map_init", "parallel_map_spawn"];
+const PAR_FNS: [&str; 2] = ["parallel_map", "parallel_map_init"];
 
 fn l011_scan(ws: &Workspace, graph: &CallGraph, id: usize, out: &mut Vec<Violation>) {
     let f = &ws.fns[id];
