@@ -18,6 +18,8 @@
 //!   interning plus role-segmented CSR adjacency, so the hot analysis kernels
 //!   (cone BFS, PPDC bitsets, class partition) run over flat arrays and only
 //!   convert back to [`Asn`] at serialization boundaries.
+//! * [`FastHash`] — the fixed-seed word hasher behind the hot `Asn`/`Link`
+//!   keyed hash maps of the analysis kernels.
 //!
 //! The crate is dependency-light (only `serde`) and purely computational.
 
@@ -30,6 +32,7 @@ pub mod cone;
 pub mod csr;
 pub mod error;
 pub mod graph;
+pub mod hash;
 pub mod index;
 pub mod io;
 pub mod link;
@@ -42,6 +45,7 @@ pub use cone::{ConeSizes, PpdcCones, PpdcStorageStats};
 pub use csr::{ConeScratch, CsrGraph};
 pub use error::GraphError;
 pub use graph::{AsGraph, NeighborRole};
+pub use hash::FastHash;
 pub use index::AsIndexer;
 pub use link::Link;
 pub use paths::{AsPath, ObservedPath, PathSet, PathStats};

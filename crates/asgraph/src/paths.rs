@@ -7,6 +7,7 @@
 //! per-link vantage-point visibility, and AS triplets.
 
 use crate::asn::Asn;
+use crate::hash::FastHash;
 use crate::link::Link;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -59,22 +60,28 @@ impl AsPath {
     #[must_use]
     pub fn compressed(&self) -> Vec<Asn> {
         let mut out: Vec<Asn> = Vec::with_capacity(self.0.len());
-        for &hop in &self.0 {
-            if out.last() != Some(&hop) {
-                out.push(hop);
-            }
-        }
+        self.compress_into(&mut out);
         out
+    }
+
+    /// Writes [`AsPath::compressed`] into `out` (cleared first), so a loop
+    /// over many paths reuses one buffer instead of allocating per path.
+    pub fn compress_into(&self, out: &mut Vec<Asn>) {
+        out.clear();
+        out.extend_from_slice(&self.0);
+        out.dedup();
     }
 
     /// `true` if an AS re-appears non-consecutively (a routing loop artefact);
     /// such paths are discarded by every sanitisation stage in the paper's
-    /// algorithms.
+    /// algorithms. Scans the hops in place: every hop that starts a new run
+    /// must not occur earlier in the path.
     #[must_use]
     pub fn has_loop(&self) -> bool {
-        let compressed = self.compressed();
-        let mut seen = HashSet::with_capacity(compressed.len());
-        compressed.iter().any(|hop| !seen.insert(*hop))
+        let hops = &self.0;
+        hops.windows(2)
+            .enumerate()
+            .any(|(i, w)| w[0] != w[1] && hops[..i].contains(&w[1]))
     }
 
     /// `true` if any hop is a reserved ASN or `AS_TRANS`.
@@ -202,31 +209,62 @@ impl PathSet {
     }
 
     /// Computes the derived statistics in one pass.
+    ///
+    /// Everything is accumulated per observed link: its vantage points and
+    /// which endpoints sit in a transit position next to it. An AS's node
+    /// degree is its number of incident links, and its transit degree the
+    /// number of incident links on which it transits.
     #[must_use]
     pub fn stats(&self) -> PathStats {
-        let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        let mut transit: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        let mut link_vps: HashMap<Link, HashSet<Asn>> = HashMap::new();
+        /// Per-link accumulator: `transit` bit 0 is set when `a` transits
+        /// next to `b`, bit 1 when `b` transits next to `a`.
+        #[derive(Default)]
+        struct LinkAcc {
+            transit: u8,
+            vps: HashSet<Asn, FastHash>,
+        }
+        let mut acc: HashMap<Link, LinkAcc, FastHash> = HashMap::default();
+        let mut hops: Vec<Asn> = Vec::new();
         for op in &self.paths {
-            let c = op.path.compressed();
-            for w in c.windows(2) {
-                if let Some(link) = Link::new(w[0], w[1]) {
-                    neighbors.entry(w[0]).or_default().insert(w[1]);
-                    neighbors.entry(w[1]).or_default().insert(w[0]);
-                    link_vps.entry(link).or_default().insert(op.vp);
+            op.path.compress_into(&mut hops);
+            let n = hops.len();
+            for (i, w) in hops.windows(2).enumerate() {
+                let Some(link) = Link::new(w[0], w[1]) else {
+                    continue;
+                };
+                let entry = acc.entry(link).or_default();
+                entry.vps.insert(op.vp);
+                // w[0] transits if a hop precedes it, w[1] if one follows.
+                let bit = |asn: Asn| if asn == link.a() { 1u8 } else { 2u8 };
+                if i > 0 {
+                    entry.transit |= bit(w[0]);
+                }
+                if i + 2 < n {
+                    entry.transit |= bit(w[1]);
                 }
             }
-            for w in c.windows(3) {
-                let t = transit.entry(w[1]).or_default();
-                t.insert(w[0]);
-                t.insert(w[2]);
+        }
+        let mut node_degree: HashMap<Asn, usize, FastHash> = HashMap::default();
+        let mut transit_degree: HashMap<Asn, usize, FastHash> = HashMap::default();
+        let mut link_vp_count: HashMap<Link, usize, FastHash> =
+            HashMap::with_capacity_and_hasher(acc.len(), FastHash);
+        for (link, a) in &acc {
+            let (x, y) = link.endpoints();
+            *node_degree.entry(x).or_insert(0) += 1;
+            *node_degree.entry(y).or_insert(0) += 1;
+            if a.transit & 1 != 0 {
+                *transit_degree.entry(x).or_insert(0) += 1;
             }
+            if a.transit & 2 != 0 {
+                *transit_degree.entry(y).or_insert(0) += 1;
+            }
+            link_vp_count.insert(*link, a.vps.len());
         }
         PathStats {
-            node_degree: neighbors.iter().map(|(a, s)| (*a, s.len())).collect(),
-            transit_degree: transit.iter().map(|(a, s)| (*a, s.len())).collect(),
-            link_vp_count: link_vps.iter().map(|(l, s)| (*l, s.len())).collect(),
-            links: link_vps.keys().copied().collect(),
+            node_degree,
+            transit_degree,
+            links: link_vp_count.keys().copied().collect(),
+            link_vp_count,
         }
     }
 }
@@ -234,9 +272,9 @@ impl PathSet {
 /// Statistics derived from a [`PathSet`] in a single pass.
 #[derive(Debug, Clone, Default)]
 pub struct PathStats {
-    node_degree: HashMap<Asn, usize>,
-    transit_degree: HashMap<Asn, usize>,
-    link_vp_count: HashMap<Link, usize>,
+    node_degree: HashMap<Asn, usize, FastHash>,
+    transit_degree: HashMap<Asn, usize, FastHash>,
+    link_vp_count: HashMap<Link, usize, FastHash>,
     links: BTreeSet<Link>,
 }
 

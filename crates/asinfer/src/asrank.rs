@@ -21,8 +21,8 @@
 
 use crate::common::{break_provider_cycles, Classifier, Inference, PreparedPaths};
 use asgraph::clique::{infer_clique, CliqueParams};
-use asgraph::{Asn, Link, PathSet, PathStats, Rel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use asgraph::{Asn, FastHash, Link, PathSet, PathStats, Rel};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Transit-degree boost applied to clique members during cycle repair, so
 /// an orientation flip can never rank a clique member below a non-member.
@@ -93,10 +93,15 @@ impl AsRank {
         // clique links + accumulated P2C (provider side).
         let mut known_p2c: BTreeSet<(Asn, Asn)> = BTreeSet::new(); // (provider, customer)
 
+        let mut hops: Vec<Asn> = Vec::new();
+        let in_clique: HashSet<Asn, FastHash> = clique.iter().copied().collect();
         for pass in 0..self.params.cascade_passes.max(1) {
-            let mut new_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
+            // Hashed views for the per-hop membership tests; the fold into
+            // `votes` below is a sum, so its order cannot matter.
+            let known: HashSet<(Asn, Asn), FastHash> = known_p2c.iter().copied().collect();
+            let mut new_votes: HashMap<(Asn, Asn), usize, FastHash> = HashMap::default();
             for op in clean.paths() {
-                let hops = op.path.compressed();
+                op.path.compress_into(&mut hops);
                 if hops.len() < 3 {
                     continue;
                 }
@@ -111,7 +116,7 @@ impl AsRank {
                     // by construction): the earlier seed must have been an
                     // error-propagation artefact (e.g. through a sibling
                     // link). Reset and allow fresh seeding.
-                    if descending && clique.contains(&u) && !clique.contains(&w) {
+                    if descending && in_clique.contains(&u) && !in_clique.contains(&w) {
                         descending = false;
                     }
                     if !descending {
@@ -119,7 +124,7 @@ impl AsRank {
                         // clique member is provider-free and so can never be
                         // u's customer; a known provider of u obviously is
                         // not.
-                        descending = clique.contains(&w) || known_p2c.contains(&(w, u));
+                        descending = in_clique.contains(&w) || known.contains(&(w, u));
                     }
                     if descending {
                         // u's route was already known customer-learned at w's
@@ -132,7 +137,7 @@ impl AsRank {
                         if let Some(&v) = hops.get(i + 1) {
                             let rank_inverted = stats.transit_degree(v)
                                 > stats.transit_degree(u).saturating_mul(2).saturating_add(5);
-                            if clique.contains(&v) || rank_inverted {
+                            if in_clique.contains(&v) || rank_inverted {
                                 descending = false;
                             } else {
                                 *new_votes.entry((u, v)).or_insert(0) += 1;

@@ -1,7 +1,7 @@
 //! Link features shared by the probabilistic classifiers (ProbLink's feature
 //! set, bucketised).
 
-use asgraph::{Asn, Link, PathSet, PathStats};
+use asgraph::{Asn, FastHash, Link, PathSet, PathStats};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Bucketised per-link features.
@@ -40,7 +40,7 @@ pub fn compute_features(
     clique: &BTreeSet<Asn>,
 ) -> HashMap<Link, LinkFeatures> {
     // Neighbor sets for common-neighbor counts.
-    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    let mut neighbors: HashMap<Asn, HashSet<Asn, FastHash>, FastHash> = HashMap::default();
     for link in stats.links() {
         let (a, b) = link.endpoints();
         neighbors.entry(a).or_default().insert(b);
@@ -48,7 +48,7 @@ pub fn compute_features(
     }
 
     // BFS hop distance from the clique over the observed graph.
-    let mut dist: HashMap<Asn, u8> = HashMap::new();
+    let mut dist: HashMap<Asn, u8, FastHash> = HashMap::default();
     let mut queue: VecDeque<Asn> = VecDeque::new();
     for &c in clique {
         dist.insert(c, 0);
@@ -70,9 +70,10 @@ pub fn compute_features(
     }
 
     // Triplet support: (w, u, v) with w in the clique supports (u, v).
-    let mut support: HashMap<Link, usize> = HashMap::new();
+    let mut support: HashMap<Link, usize, FastHash> = HashMap::default();
+    let mut hops: Vec<Asn> = Vec::new();
     for op in paths.paths() {
-        let hops = op.path.compressed();
+        op.path.compress_into(&mut hops);
         for w in hops.windows(3) {
             if clique.contains(&w[0]) {
                 if let Some(link) = Link::new(w[1], w[2]) {

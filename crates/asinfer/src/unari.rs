@@ -11,9 +11,9 @@
 //! mean 90 % accuracy?).
 
 use crate::asrank::AsRank;
-use crate::common::{Classifier, Inference};
+use crate::common::{Classifier, Inference, PreparedPaths};
 use crate::features::{compute_features, LinkFeatures, N_BUCKETS};
-use asgraph::{Link, PathSet, Rel, RelClass};
+use asgraph::{Link, PathSet, PathStats, Rel, RelClass};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -62,10 +62,39 @@ impl Unari {
     /// Computes per-link beliefs.
     #[must_use]
     pub fn beliefs(&self, paths: &PathSet) -> BTreeMap<Link, LinkBelief> {
-        let initial = AsRank::new().infer(paths);
+        Preparation::new(paths).beliefs()
+    }
+}
+
+/// The ASRank preparation UNARI calibrates against: sanitized paths, their
+/// statistics and the ASRank labelling over them, each derived once.
+struct Preparation {
+    clean: PathSet,
+    stats: PathStats,
+    initial: Inference,
+}
+
+impl Preparation {
+    fn new(paths: &PathSet) -> Self {
         let clean = paths.sanitized();
         let stats = clean.stats();
-        let features = compute_features(&clean, &stats, &initial.clique);
+        let initial = AsRank::new().infer_prepared(PreparedPaths::new(&clean, &stats));
+        Preparation {
+            clean,
+            stats,
+            initial,
+        }
+    }
+
+    /// Per-link beliefs from the naive-Bayes feature model fitted on the
+    /// ASRank labelling of the sanitized paths.
+    fn beliefs(&self) -> BTreeMap<Link, LinkBelief> {
+        let Preparation {
+            clean,
+            stats,
+            initial,
+        } = self;
+        let features = compute_features(clean, stats, &initial.clique);
 
         // Fit class-conditional histograms on the ASRank labelling.
         let mut counts = [[[1.0f64; N_BUCKETS]; 5]; 2]; // Laplace smoothing
@@ -141,13 +170,13 @@ impl Classifier for Unari {
     }
 
     fn infer(&self, paths: &PathSet) -> Inference {
-        let initial = AsRank::new().infer(paths);
-        let beliefs = self.beliefs(paths);
+        let prep = Preparation::new(paths);
+        let beliefs = prep.beliefs();
         let rels: BTreeMap<Link, Rel> = beliefs.iter().map(|(l, b)| (*l, b.hard_label())).collect();
         Inference {
             classifier: self.name().to_owned(),
             rels,
-            clique: initial.clique,
+            clique: prep.initial.clique,
         }
     }
 }

@@ -17,6 +17,24 @@ fn arb_pathset() -> impl Strategy<Value = PathSet> {
     })
 }
 
+/// Paths over a small AS universe, so loops are common, with reserved hops
+/// (`AS_TRANS`, private ASNs) mixed in.
+fn arb_dirty_pathset() -> impl Strategy<Value = PathSet> {
+    let hop = (1u32..44).prop_map(|h| match h {
+        40 => 23_456,
+        41..=43 => 64_512 + h,
+        _ => h,
+    });
+    prop::collection::vec(prop::collection::vec(hop, 2..9), 1..40).prop_map(|paths| {
+        let mut ps = PathSet::new();
+        for hops in paths {
+            let hops: Vec<Asn> = hops.into_iter().map(Asn).collect();
+            ps.push(hops[0], AsPath::new(hops));
+        }
+        ps
+    })
+}
+
 fn classifiers() -> Vec<Box<dyn Classifier>> {
     vec![
         Box::new(GaoClassifier::new()),
@@ -74,6 +92,14 @@ proptest! {
                 prop_assert_eq!(inf.rel(link), Some(Rel::P2p));
             }
         }
+    }
+
+    /// UNARI sanitizes its input itself: beliefs over dirty paths equal the
+    /// beliefs over their sanitized form.
+    #[test]
+    fn unari_beliefs_ignore_dirty_paths(ps in arb_dirty_pathset()) {
+        let unari = Unari::new();
+        prop_assert_eq!(unari.beliefs(&ps), unari.beliefs(&ps.sanitized()));
     }
 
     /// UNARI's hard labels agree with its belief argmax, and the beliefs are

@@ -16,7 +16,7 @@
 //! ASes with 4-byte ASNs cannot put their ASN into a classic RFC 1997
 //! community, so they tag with RFC 8092 large communities instead.
 
-use asgraph::{Asn, Rel};
+use asgraph::{Asn, GtRel, Link, Rel};
 use bgpwire::{Community, LargeCommunity};
 use serde::{Deserialize, Serialize};
 use topogen::{TierClass, Topology};
@@ -153,13 +153,33 @@ impl AnyCommunity {
     }
 }
 
+/// The ground truth the ingress-tag rule reads: each AS's tier and each
+/// link's relationship. [`Topology`] answers from its ordered maps; a hot
+/// loop over many routes can answer from a hashed index built once.
+pub trait TagTruth {
+    /// The tier of `asn`, if it exists.
+    fn tier_of(&self, asn: Asn) -> Option<TierClass>;
+    /// The ground-truth relationship of `link`, if it exists.
+    fn link_rel(&self, link: Link) -> Option<&GtRel>;
+}
+
+impl TagTruth for Topology {
+    fn tier_of(&self, asn: Asn) -> Option<TierClass> {
+        self.info(asn).map(|i| i.tier)
+    }
+
+    fn link_rel(&self, link: Link) -> Option<&GtRel> {
+        self.gt_rel(link)
+    }
+}
+
 /// Whether `asn` tags informational ingress communities at all. Transit
 /// operators and Tier-1s do; stubs and most hypergiants do not (they have no
 /// ingress routes to speak of).
 #[must_use]
-pub fn tags_communities(topology: &Topology, asn: Asn) -> bool {
+pub fn tags_communities<T: TagTruth + ?Sized>(truth: &T, asn: Asn) -> bool {
     matches!(
-        topology.info(asn).map(|i| i.tier),
+        truth.tier_of(asn),
         Some(TierClass::Tier1 | TierClass::Transit)
     )
 }
@@ -173,13 +193,33 @@ pub fn tags_communities(topology: &Topology, asn: Asn) -> bool {
 /// community-derived validation data with a P2C label (the 210 entries the
 /// paper's §4.2 removes via AS2Org).
 #[must_use]
-pub fn ingress_rel(topology: &Topology, x: Asn, neighbor: Asn) -> Option<IngressRel> {
-    let link = asgraph::Link::new(x, neighbor)?;
-    match topology.gt_rel(link)?.base {
+pub fn ingress_rel<T: TagTruth + ?Sized>(truth: &T, x: Asn, neighbor: Asn) -> Option<IngressRel> {
+    let link = Link::new(x, neighbor)?;
+    match truth.link_rel(link)?.base {
         Rel::P2c { provider } if provider == x => Some(IngressRel::Customer),
         Rel::P2c { .. } => Some(IngressRel::Provider),
         Rel::P2p => Some(IngressRel::Peer),
         Rel::S2s => Some(IngressRel::Customer),
+    }
+}
+
+/// Calls `emit` with every informational tag visible **at a route
+/// collector** on an already deduplicated path (receiver-first,
+/// origin-last), in path order: each tagging hop's ingress tag for the
+/// neighbor it learned the route from. Allocation-free.
+pub fn for_each_collector_tag<T: TagTruth + ?Sized>(
+    truth: &T,
+    compressed: &[Asn],
+    mut emit: impl FnMut(AnyCommunity),
+) {
+    for w in compressed.windows(2) {
+        let (x, neighbor) = (w[0], w[1]); // x learned from neighbor
+        if !tags_communities(truth, x) {
+            continue;
+        }
+        if let Some(rel) = ingress_rel(truth, x, neighbor) {
+            emit(AnyCommunity::informational(x, rel));
+        }
     }
 }
 
@@ -191,15 +231,7 @@ pub fn collector_communities(topology: &Topology, path: &[Asn]) -> Vec<AnyCommun
     let mut compressed: Vec<Asn> = path.to_vec();
     compressed.dedup();
     let mut out = Vec::new();
-    for w in compressed.windows(2) {
-        let (x, neighbor) = (w[0], w[1]); // x learned from neighbor
-        if !tags_communities(topology, x) {
-            continue;
-        }
-        if let Some(rel) = ingress_rel(topology, x, neighbor) {
-            out.push(AnyCommunity::informational(x, rel));
-        }
-    }
+    for_each_collector_tag(topology, &compressed, |c| out.push(c));
     out
 }
 
@@ -215,7 +247,7 @@ pub fn rib_communities(topology: &Topology, path: &[Asn]) -> Vec<AnyCommunity> {
     if compressed.len() >= 2 {
         // breval-lint: allow(L009) -- guarded by the len() >= 2 check on the line above
         let (receiver, sender) = (compressed[0], compressed[1]);
-        if let Some(link) = asgraph::Link::new(receiver, sender) {
+        if let Some(link) = Link::new(receiver, sender) {
             if let Some(gt) = topology.gt_rel(link) {
                 if gt.partial_transit && gt.base.provider() == Some(receiver) {
                     out.push(AnyCommunity::action_no_export_to_peers(receiver));

@@ -21,10 +21,12 @@
 //!     in DESIGN.md,
 //! 12. behaviour of the endpoints (MANRS members vs serial hijackers).
 
-use asgraph::{Asn, ConeSizes, Link, PathStats};
+use asgraph::{Asn, ConeSizes, FastHash, Link, PathStats};
 use bgpsim::RibSnapshot;
+use bgpwire::Ipv4Prefix;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::BuildHasher;
 use topogen::Topology;
 
 /// The Appendix C feature vector for one link.
@@ -64,6 +66,12 @@ pub struct LinkMetrics {
 /// ([`asgraph::cone::ppdc_sizes`] over the inferred relationships — the
 /// paper would use the inferred relationships). Passed in precomputed so
 /// callers share one derivation with the rest of the pipeline.
+///
+/// Links are sharded over the worker pool by a fixed link hash: every shard
+/// scans all observations and accumulates only its own links. A link's
+/// metrics are set sizes and sums over its observations, independent of
+/// the order they are seen in, so the table is identical at any thread
+/// count.
 #[must_use]
 pub fn compute_link_metrics(
     topology: &Topology,
@@ -71,82 +79,93 @@ pub fn compute_link_metrics(
     stats: &PathStats,
     ppdc: &ConeSizes,
 ) -> BTreeMap<Link, LinkMetrics> {
+    #[derive(Default)]
     struct Acc {
-        vps: HashSet<Asn>,
-        prefixes: HashSet<bgpwire::Ipv4Prefix>,
-        originated: HashSet<bgpwire::Ipv4Prefix>,
-        left: HashSet<Asn>,
-        right: HashSet<Asn>,
+        vps: HashSet<Asn, FastHash>,
+        prefixes: HashSet<Ipv4Prefix, FastHash>,
+        originated: HashSet<Ipv4Prefix, FastHash>,
+        left: HashSet<Asn, FastHash>,
+        right: HashSet<Asn, FastHash>,
     }
-    // Link-keyed BTreeMap so the returned metric table (and everything
-    // rendered from it) iterates in deterministic Link order (L008).
-    let mut acc: BTreeMap<Link, Acc> = BTreeMap::new();
 
-    for obs in &snapshot.observations {
-        let mut hops = obs.path.clone();
-        hops.dedup();
-        for (i, w) in hops.windows(2).enumerate() {
-            let Some(link) = Link::new(w[0], w[1]) else {
-                continue;
-            };
-            let entry = acc.entry(link).or_insert_with(|| Acc {
-                vps: HashSet::new(),
-                prefixes: HashSet::new(),
-                originated: HashSet::new(),
-                left: HashSet::new(),
-                right: HashSet::new(),
-            });
-            entry.vps.insert(obs.vp);
-            entry.prefixes.insert(obs.prefix);
-            if i + 2 == hops.len() {
-                entry.originated.insert(obs.prefix);
-            }
-            for &l in &hops[..=i] {
-                entry.left.insert(l);
-            }
-            for &r in &hops[i + 1..] {
-                entry.right.insert(r);
-            }
+    // Each AS's IXPs, ascending: common IXPs are a sorted-list intersection.
+    let mut ixps_of: HashMap<Asn, Vec<usize>, FastHash> = HashMap::default();
+    for (i, ixp) in topology.ixps.iter().enumerate() {
+        for &member in &ixp.members {
+            ixps_of.entry(member).or_default().push(i);
         }
     }
-
+    let common_ixps = |x: Asn, y: Asn| -> usize {
+        let (Some(xs), Some(ys)) = (ixps_of.get(&x), ixps_of.get(&y)) else {
+            return 0;
+        };
+        xs.iter().filter(|i| ys.binary_search(i).is_ok()).count()
+    };
     let rel_diff = |a: usize, b: usize| -> f64 {
         let (a, b) = (a as f64, b as f64);
         (a - b).abs() / a.max(b).max(1.0)
     };
+    let metrics = |link: Link, a: &Acc| -> LinkMetrics {
+        let (x, y) = link.endpoints();
+        let flag = |f: fn(&topogen::AsInfo) -> bool| -> u8 {
+            [x, y]
+                .into_iter()
+                .filter(|asn| topology.info(*asn).map(f).unwrap_or(false))
+                .count() as u8
+        };
+        LinkMetrics {
+            visibility: a.vps.len(),
+            prefixes_redistributed: a.prefixes.len(),
+            addresses_redistributed: a.prefixes.iter().map(|p| p.address_count()).sum(),
+            prefixes_originated: a.originated.len(),
+            addresses_originated: a.originated.iter().map(|p| p.address_count()).sum(),
+            left_ases: a.left.len().saturating_sub(1),
+            right_ases: a.right.len().saturating_sub(1),
+            transit_degree_diff: rel_diff(stats.transit_degree(x), stats.transit_degree(y)),
+            ppdc_diff: rel_diff(ppdc.get(x).unwrap_or(1), ppdc.get(y).unwrap_or(1)),
+            common_ixps: common_ixps(x, y),
+            common_facilities: 0,
+            manrs_endpoints: flag(|i| i.manrs),
+            hijacker_endpoints: flag(|i| i.hijacker),
+        }
+    };
 
-    acc.into_iter()
-        .map(|(link, a)| {
-            let (x, y) = link.endpoints();
-            let common_ixps = topology
-                .ixps
-                .iter()
-                .filter(|ixp| ixp.members.contains(&x) && ixp.members.contains(&y))
-                .count();
-            let flag = |f: fn(&topogen::AsInfo) -> bool| -> u8 {
-                [x, y]
-                    .into_iter()
-                    .filter(|asn| topology.info(*asn).map(f).unwrap_or(false))
-                    .count() as u8
-            };
-            let metrics = LinkMetrics {
-                visibility: a.vps.len(),
-                prefixes_redistributed: a.prefixes.len(),
-                addresses_redistributed: a.prefixes.iter().map(|p| p.address_count()).sum(),
-                prefixes_originated: a.originated.len(),
-                addresses_originated: a.originated.iter().map(|p| p.address_count()).sum(),
-                left_ases: a.left.len().saturating_sub(1),
-                right_ases: a.right.len().saturating_sub(1),
-                transit_degree_diff: rel_diff(stats.transit_degree(x), stats.transit_degree(y)),
-                ppdc_diff: rel_diff(ppdc.get(x).unwrap_or(1), ppdc.get(y).unwrap_or(1)),
-                common_ixps,
-                common_facilities: 0,
-                manrs_endpoints: flag(|i| i.manrs),
-                hijacker_endpoints: flag(|i| i.hijacker),
-            };
-            (link, metrics)
-        })
-        .collect()
+    let shards = breval_par::max_threads();
+    let shard_rows = breval_par::parallel_map(shards, |shard| {
+        let mut acc: HashMap<Link, Acc, FastHash> = HashMap::default();
+        let mut hops: Vec<Asn> = Vec::new();
+        for obs in &snapshot.observations {
+            hops.clear();
+            hops.extend_from_slice(&obs.path);
+            hops.dedup();
+            for (i, w) in hops.windows(2).enumerate() {
+                let Some(link) = Link::new(w[0], w[1]) else {
+                    continue;
+                };
+                if FastHash.hash_one(link) % shards as u64 != shard as u64 {
+                    continue;
+                }
+                let entry = acc.entry(link).or_default();
+                entry.vps.insert(obs.vp);
+                entry.prefixes.insert(obs.prefix);
+                if i + 2 == hops.len() {
+                    entry.originated.insert(obs.prefix);
+                }
+                entry.left.extend(&hops[..=i]);
+                entry.right.extend(&hops[i + 1..]);
+            }
+        }
+        // Link-keyed BTreeMap so the returned metric table (and everything
+        // rendered from it) iterates in deterministic Link order (L008).
+        acc.iter()
+            .map(|(link, a)| (*link, metrics(*link, a)))
+            .collect::<BTreeMap<_, _>>()
+    });
+    let mut table = BTreeMap::new();
+    for mut rows in shard_rows {
+        table.append(&mut rows);
+    }
+    table
 }
 
 /// One row of the feature-vs-error analysis: links bucketed by a feature's
@@ -212,6 +231,79 @@ mod tests {
         let topo = topogen::generate(&topogen::TopologyConfig::small(77));
         let snap = bgpsim::simulate(&topo);
         (topo, snap)
+    }
+
+    /// Two hand-built observations crossing link 2–3 from different sides,
+    /// with prepending, and three IXPs with overlapping memberships.
+    #[test]
+    fn hand_built_fixture_pins_path_and_ixp_metrics() {
+        use asgraph::{AsPath, Asn, PathSet};
+        use asregistry::RirRegion;
+        use bgpsim::{RouteClass, RouteObservation};
+        use bgpwire::Ipv4Prefix;
+
+        let asns = |hops: &[u32]| hops.iter().map(|&h| Asn(h)).collect::<Vec<_>>();
+        let prefix = |addr: u32, len: u8| Ipv4Prefix::new(addr, len).expect("valid prefix");
+        let observation = |hops: &[u32], prefix: Ipv4Prefix| RouteObservation {
+            vp: Asn(hops[0]),
+            origin: Asn(hops[hops.len() - 1]),
+            prefix,
+            path: asns(hops),
+            class: RouteClass::Customer,
+        };
+        let p1 = prefix(0x0a00_0000, 24);
+        let p2 = prefix(0x0a01_0000, 16);
+        let snapshot = RibSnapshot {
+            observations: vec![
+                observation(&[1, 2, 2, 3, 4], p1),
+                observation(&[5, 2, 3, 6], p2),
+            ],
+            collector_peers: Vec::new(),
+        };
+        let ixp = |members: &[u32]| topogen::Ixp {
+            region: RirRegion::RipeNcc,
+            members: asns(members).into_iter().collect(),
+        };
+        let topology = Topology {
+            ases: BTreeMap::new(),
+            links: BTreeMap::new(),
+            tier1: Default::default(),
+            hypergiants: Default::default(),
+            cogent: Asn(1),
+            collector_peers: Vec::new(),
+            ixps: vec![ixp(&[2, 3, 9]), ixp(&[2, 3]), ixp(&[3, 4])],
+        };
+        let mut paths = PathSet::new();
+        for obs in &snapshot.observations {
+            paths.push(obs.vp, AsPath::new(obs.path.clone()));
+        }
+        let stats = paths.stats();
+        let ppdc = cone::ppdc_sizes(&paths, &BTreeMap::new());
+        let metrics = compute_link_metrics(&topology, &snapshot, &stats, &ppdc);
+
+        let link = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).expect("distinct endpoints");
+        assert_eq!(metrics.len(), 5);
+        // Both routes cross 2–3: collector side {1, 5}, origin side {4, 6}.
+        let m23 = metrics[&link(2, 3)];
+        assert_eq!((m23.left_ases, m23.right_ases), (2, 2));
+        assert_eq!((m23.visibility, m23.prefixes_redistributed), (2, 2));
+        assert_eq!(m23.prefixes_originated, 0);
+        assert_eq!(m23.common_ixps, 2);
+        // 3–4 delivers p1 from its origin; only the third IXP has both.
+        let m34 = metrics[&link(3, 4)];
+        assert_eq!((m34.left_ases, m34.right_ases), (2, 0));
+        assert_eq!(m34.prefixes_originated, 1);
+        assert_eq!(m34.addresses_originated, 256);
+        assert_eq!(m34.common_ixps, 1);
+        // The prepended hop does not count twice on 1–2.
+        let m12 = metrics[&link(1, 2)];
+        assert_eq!((m12.left_ases, m12.right_ases), (0, 2));
+        assert_eq!(m12.common_ixps, 0);
+        let m36 = metrics[&link(3, 6)];
+        assert_eq!(
+            (m36.prefixes_originated, m36.addresses_originated),
+            (1, 65_536)
+        );
     }
 
     #[test]

@@ -8,13 +8,13 @@
 
 use crate::config::ValDataConfig;
 use crate::set::{LabelSource, ValidationSet};
-use asgraph::{asn::AS_TRANS, Asn, Link, Rel};
-use bgpsim::communities::{scheme_of, AnyCommunity, IngressRel};
+use asgraph::{asn::AS_TRANS, Asn, FastHash, GtRel, Link, Rel};
+use bgpsim::communities::{for_each_collector_tag, scheme_of, IngressRel, TagTruth};
 use bgpsim::RibSnapshot;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
-use topogen::Topology;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use topogen::{TierClass, Topology};
 
 /// Deterministic per-item coin flip (order-independent).
 fn det_hash(seed: u64, a: u64, b: u64) -> u64 {
@@ -34,39 +34,86 @@ fn det_hash(seed: u64, a: u64, b: u64) -> u64 {
 /// at any thread count while the chunk count stays bounded at scale.
 const OBS_CHUNK: usize = 256;
 
+/// The topology's tiers and link relationships, hashed once per compile so
+/// the per-hop lookups of the ingress-tag rule skip the ordered-map walks.
+struct HashedTruth<'a> {
+    tiers: HashMap<Asn, TierClass, FastHash>,
+    links: HashMap<Link, &'a GtRel, FastHash>,
+}
+
+impl<'a> HashedTruth<'a> {
+    fn new(topology: &'a Topology) -> Self {
+        HashedTruth {
+            tiers: topology.ases.values().map(|i| (i.asn, i.tier)).collect(),
+            links: topology.links.iter().map(|(l, r)| (*l, r)).collect(),
+        }
+    }
+}
+
+impl TagTruth for HashedTruth<'_> {
+    fn tier_of(&self, asn: Asn) -> Option<TierClass> {
+        self.tiers.get(&asn).copied()
+    }
+
+    fn link_rel(&self, link: Link) -> Option<&GtRel> {
+        self.links.get(&link).copied()
+    }
+}
+
 /// Shared read-only inputs of the per-observation decoding loop.
 struct DecodeContext<'a> {
-    topology: &'a Topology,
+    truth: HashedTruth<'a>,
     cfg: &'a ValDataConfig,
-    publishers: BTreeSet<Asn>,
-    stale_dicts: BTreeSet<Asn>,
-    two_byte_vps: BTreeSet<Asn>,
+    publishers: HashSet<Asn, FastHash>,
+    stale_dicts: HashSet<Asn, FastHash>,
+    two_byte_vps: HashSet<Asn, FastHash>,
+}
+
+/// Per-worker scratch reused across observations: the deduplicated wire
+/// path, the legacy (`AS_TRANS`-substituted) path view, and the labels of
+/// the current chunk already emitted (a repeat adds nothing to the set).
+#[derive(Default)]
+struct DecodeScratch {
+    wire: Vec<Asn>,
+    legacy: Vec<Asn>,
+    emitted: HashSet<(Link, Rel), FastHash>,
 }
 
 /// Decodes one observation's communities into `(link, rel)` labels, in the
-/// order the sequential loop would have produced them.
+/// order the sequential loop would have produced them, skipping labels
+/// already in `scratch.emitted`.
 fn decode_observation(
     ctx: &DecodeContext<'_>,
     obs: &bgpsim::RouteObservation,
+    scratch: &mut DecodeScratch,
     out: &mut Vec<(Link, Rel)>,
 ) {
+    let DecodeScratch {
+        wire,
+        legacy,
+        emitted,
+    } = scratch;
+    wire.clear();
+    wire.extend_from_slice(&obs.path);
+    wire.dedup();
     // The decoding pipeline sees the path as extracted from MRT data:
     // modern view normally, legacy view (AS_TRANS substituted) for
     // 16-bit collector sessions when the legacy pipeline is active.
-    let legacy = ctx.cfg.legacy_pipeline && ctx.two_byte_vps.contains(&obs.vp);
-    let mut hops: Vec<Asn> = if legacy {
-        obs.path
-            .iter()
-            .map(|a| if a.is_four_byte() { AS_TRANS } else { *a })
-            .collect()
+    let hops: &[Asn] = if ctx.cfg.legacy_pipeline && ctx.two_byte_vps.contains(&obs.vp) {
+        legacy.clear();
+        legacy.extend(
+            obs.path
+                .iter()
+                .map(|a| if a.is_four_byte() { AS_TRANS } else { *a }),
+        );
+        legacy.dedup();
+        legacy
     } else {
-        obs.path.clone()
+        wire
     };
-    hops.dedup();
 
     // Communities travel on the wire unaffected by the AS_PATH encoding.
-    let communities = bgpsim::communities::collector_communities(ctx.topology, &obs.path);
-    for community in communities {
+    for_each_collector_tag(&ctx.truth, wire, |community| {
         let tagger = Asn(community.asn_part());
         if !ctx.publishers.contains(&tagger) {
             // 16-bit alias check: a classic community's AS part could
@@ -74,24 +121,20 @@ fn decode_observation(
             // was someone else — we only decode documented values, so
             // nothing happens here unless the value also matches, which
             // the per-AS schemes make rare.
-            continue;
+            return;
         }
         let scheme = scheme_of(tagger);
-        let value = match community {
-            AnyCommunity::Classic(c) => u32::from(c.value),
-            AnyCommunity::Large(lc) => lc.local2,
-        };
-        let Ok(value16) = u16::try_from(value) else {
-            continue;
+        let Ok(value16) = u16::try_from(community.value_part()) else {
+            return;
         };
         // The 3356:666 ambiguity (§3.2): value 666 doubles as the
         // informal blackhole convention. A conservative pipeline skips
         // it even when the dictionary defines it.
         if ctx.cfg.skip_666_as_blackhole && value16 == 666 {
-            continue;
+            return;
         }
         let Some(mut ingress) = scheme.decode(value16) else {
-            continue;
+            return;
         };
         // Stale documentation: peer value documented as customer.
         if ctx.stale_dicts.contains(&tagger) && ingress == IngressRel::Peer {
@@ -100,13 +143,13 @@ fn decode_observation(
         // Locate the tagger on the (pipeline-visible) path and find the
         // neighbor it learned the route from.
         let Some(pos) = hops.iter().position(|h| *h == tagger) else {
-            continue; // tagger hidden behind AS_TRANS in the legacy view
+            return; // tagger hidden behind AS_TRANS in the legacy view
         };
         let Some(&neighbor) = hops.get(pos + 1) else {
-            continue;
+            return;
         };
         let Some(link) = Link::new(tagger, neighbor) else {
-            continue;
+            return;
         };
         let mut rel = match ingress {
             IngressRel::Customer => Rel::P2c { provider: tagger },
@@ -117,29 +160,30 @@ fn decode_observation(
         // PoP's relationship, producing genuinely ambiguous multi-label
         // entries. Deterministic per (link, vp, origin) — which PoP a
         // route crosses varies per prefix.
-        if let Some(gt) = ctx.topology.gt_rel(link) {
-            if let Some(alt) = gt.hybrid_alt {
-                let flip = det_hash(
-                    ctx.cfg.seed ^ 0x4879,
-                    u64::from(link.a().0) << 32 | u64::from(link.b().0),
-                    u64::from(obs.vp.0) << 32 | u64::from(obs.origin.0),
-                ) % 10_000
-                    < (ctx.cfg.hybrid_minority_share * 10_000.0) as u64;
-                if flip {
-                    rel = alt;
-                }
+        if let Some(alt) = ctx.truth.link_rel(link).and_then(|gt| gt.hybrid_alt) {
+            let flip = det_hash(
+                ctx.cfg.seed ^ 0x4879,
+                u64::from(link.a().0) << 32 | u64::from(link.b().0),
+                u64::from(obs.vp.0) << 32 | u64::from(obs.origin.0),
+            ) % 10_000
+                < (ctx.cfg.hybrid_minority_share * 10_000.0) as u64;
+            if flip {
+                rel = alt;
             }
         }
-        out.push((link, rel));
-    }
+        if emitted.insert((link, rel)) {
+            out.push((link, rel));
+        }
+    });
 }
 
 /// Compiles community-based validation labels from a RIB snapshot.
 ///
 /// The per-observation decoding is sharded across the worker pool in
-/// fixed-size chunks; merging the chunk label lists in chunk order makes
-/// the resulting set byte-identical to a sequential pass at any thread
-/// count (the set's per-link record order follows insertion order).
+/// fixed-size chunks; each chunk keeps only the first occurrence of every
+/// label, and merging the chunk label lists in chunk order makes the
+/// resulting set byte-identical to a sequential pass at any thread count
+/// (the set's per-link record order follows first insertion).
 #[must_use]
 pub fn compile_communities(
     topology: &Topology,
@@ -149,8 +193,9 @@ pub fn compile_communities(
     let mut set = ValidationSet::new();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
-    // Publishers and their (possibly stale) dictionaries.
-    let publishers: BTreeSet<Asn> = topology
+    // Publishers and their (possibly stale) dictionaries, in ASN order (the
+    // leak injection below draws from this order).
+    let publisher_vec: Vec<Asn> = topology
         .ases
         .values()
         .filter(|i| i.publishes_communities)
@@ -158,7 +203,7 @@ pub fn compile_communities(
         .collect();
     // Stale dictionaries: the published 'peer' meaning actually decodes as
     // customer (operator updated the scheme but not the documentation).
-    let stale_dicts: BTreeSet<Asn> = publishers
+    let stale_dicts = publisher_vec
         .iter()
         .copied()
         .filter(|p| {
@@ -166,8 +211,7 @@ pub fn compile_communities(
                 < (cfg.stale_dict_prob * 10_000.0) as u64
         })
         .collect();
-
-    let two_byte_vps: BTreeSet<Asn> = snapshot
+    let two_byte_vps = snapshot
         .collector_peers
         .iter()
         .filter(|cp| cp.two_byte_only)
@@ -175,9 +219,9 @@ pub fn compile_communities(
         .collect();
 
     let ctx = DecodeContext {
-        topology,
+        truth: HashedTruth::new(topology),
         cfg,
-        publishers,
+        publishers: publisher_vec.iter().copied().collect(),
         stale_dicts,
         two_byte_vps,
     };
@@ -188,15 +232,17 @@ pub fn compile_communities(
         // Sub-span around the parallel chunk decode: the trace separates
         // it from the sequential leak/label bookkeeping in this function.
         let _decode = breval_obs::span!("compile_observations");
-        let chunk_labels = breval_par::parallel_map(chunks, |c| {
-            let lo = c * obs_chunk;
-            let hi = (lo + obs_chunk).min(observations.len());
-            let mut out = Vec::new();
-            for obs in &observations[lo..hi] {
-                decode_observation(&ctx, obs, &mut out);
-            }
-            out
-        });
+        let chunk_labels =
+            breval_par::parallel_map_init(chunks, DecodeScratch::default, |scratch, c| {
+                let lo = c * obs_chunk;
+                let hi = (lo + obs_chunk).min(observations.len());
+                scratch.emitted.clear();
+                let mut out = Vec::new();
+                for obs in &observations[lo..hi] {
+                    decode_observation(&ctx, obs, scratch, &mut out);
+                }
+                out
+            });
         for labels in chunk_labels {
             for (link, rel) in labels {
                 set.add(link, rel, LabelSource::Communities);
@@ -206,7 +252,6 @@ pub fn compile_communities(
 
     // Private-ASN route leaks: labels whose neighbor is a reserved ASN.
     // Stays sequential: the injection consumes the RNG stream in order.
-    let publisher_vec: Vec<Asn> = ctx.publishers.iter().copied().collect();
     let mut injected = 0usize;
     while injected < cfg.reserved_leak_count && !publisher_vec.is_empty() {
         let tagger = publisher_vec[rng.random_range(0..publisher_vec.len())];

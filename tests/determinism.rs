@@ -108,6 +108,48 @@ fn parallel_run_matches_single_thread() {
     }
 }
 
+/// The Appendix C link metrics (links sharded by hash over the pool) and
+/// the community compiler (chunked decoding) must be byte-identical at 1
+/// and 4 threads, for all four `skip_666` × `legacy_pipeline` ablation
+/// configurations.
+#[test]
+fn link_metrics_and_compiler_match_across_thread_caps() {
+    use breval::analysis::linkfeatures::compute_link_metrics;
+    use breval::valdata::{compile_communities, ValDataConfig};
+    let s = Scenario::run(ScenarioConfig::small(21));
+    let ppdc = s.ppdc_sizes_arc("asrank");
+    let run = |threads: usize| {
+        breval::par::with_thread_cap(Some(threads), || {
+            let metrics = compute_link_metrics(&s.topology, &s.snapshot, &s.stats, &ppdc);
+            let mut out = vec![format!("{metrics:?}")];
+            for skip_666_as_blackhole in [false, true] {
+                for legacy_pipeline in [true, false] {
+                    let cfg = ValDataConfig {
+                        skip_666_as_blackhole,
+                        legacy_pipeline,
+                        ..s.config.valdata.clone()
+                    };
+                    let set = compile_communities(&s.topology, &s.snapshot, &cfg);
+                    out.push(format!("{set:?}"));
+                }
+            }
+            out
+        })
+    };
+    let (single, multi) = (run(1), run(4));
+    assert!(single[0].len() > 1_000, "no link metrics computed");
+    let labels = [
+        "link metrics",
+        "compile skip_666=false legacy=true",
+        "compile skip_666=false legacy=false",
+        "compile skip_666=true legacy=true",
+        "compile skip_666=true legacy=false",
+    ];
+    for ((label, a), b) in labels.iter().zip(&single).zip(&multi) {
+        assert_eq!(a, b, "{label}: output must not depend on thread count");
+    }
+}
+
 #[test]
 fn different_seed_different_world() {
     let a = Scenario::run(ScenarioConfig::small(7));
