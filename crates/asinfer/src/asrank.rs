@@ -216,6 +216,12 @@ impl AsRank {
 /// Resolves directional votes into a consistent (provider, customer) set.
 /// Clique members are provider-free: any vote naming one as a customer is
 /// flipped (one side clique) or discarded (both sides clique).
+///
+/// Each link is decided from both of its vote counts, never from the
+/// order the map is walked in. The provider is, in turn: the side with
+/// more votes when they are decisive (no opposing votes, at least `ratio`
+/// times as many, or a clique member), else the side with the higher
+/// transit degree, else the lower ASN. A clique endpoint always provides.
 fn resolve_votes(
     votes: &HashMap<(Asn, Asn), usize>,
     stats: &asgraph::PathStats,
@@ -224,34 +230,32 @@ fn resolve_votes(
 ) -> BTreeSet<(Asn, Asn)> {
     let mut out = BTreeSet::new();
     let mut seen: BTreeSet<Link> = BTreeSet::new();
-    for (&(p, c), &n) in votes {
-        let Some(link) = Link::new(p, c) else {
+    for &(x, y) in votes.keys() {
+        let Some(link) = Link::new(x, y) else {
             continue;
         };
-        if seen.contains(&link) {
+        if !seen.insert(link) {
             continue;
         }
-        seen.insert(link);
-        if clique.contains(&p) && clique.contains(&c) {
+        let (a, b) = link.endpoints();
+        if clique.contains(&a) && clique.contains(&b) {
             continue; // clique links are peerings
         }
-        let fwd = n;
-        let rev = votes.get(&(c, p)).copied().unwrap_or(0);
-        let (fwd, rev, p, c) = if fwd >= rev {
-            (fwd, rev, p, c)
+        let count = |p, c| votes.get(&(p, c)).copied().unwrap_or(0);
+        // Vote winner first; an exact tie starts from the lower ASN `a`.
+        let (fwd, rev, p, c) = if count(a, b) >= count(b, a) {
+            (count(a, b), count(b, a), a, b)
         } else {
-            (rev, fwd, c, p)
+            (count(b, a), count(a, b), b, a)
         };
         let (p, c) = if clique.contains(&c) { (c, p) } else { (p, c) };
         if rev == 0 || fwd as f64 >= ratio * rev as f64 || clique.contains(&p) {
             out.insert((p, c));
-        } else {
+        } else if stats.transit_degree(p) >= stats.transit_degree(c) {
             // Ambiguous: higher transit degree becomes the provider.
-            if stats.transit_degree(p) >= stats.transit_degree(c) {
-                out.insert((p, c));
-            } else {
-                out.insert((c, p));
-            }
+            out.insert((p, c));
+        } else {
+            out.insert((c, p));
         }
     }
     out
@@ -338,6 +342,40 @@ mod tests {
         ps.push(Asn(10), path(&[10, 23456, 7])); // AS_TRANS
         let inf = AsRank::new().infer(&ps);
         assert!(inf.rel(Link::new(Asn(23456), Asn(7)).unwrap()).is_none());
+    }
+
+    /// Exact ties (equal votes both ways, no clique endpoint, equal
+    /// transit degrees) resolve to the lower ASN as provider, whatever
+    /// the map's insertion order and hasher state.
+    #[test]
+    fn vote_ties_resolve_independently_of_map_order() {
+        let stats = PathSet::new().stats(); // every transit degree is 0
+        let clique = BTreeSet::new();
+        let pairs: Vec<(Asn, Asn)> = (0..24u32)
+            .flat_map(|i| {
+                let (a, b) = (Asn(100 + 7 * i), Asn(5000 - 3 * i));
+                [(a, b), (b, a)]
+            })
+            .collect();
+        let want: BTreeSet<(Asn, Asn)> = pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+        for round in 0..32usize {
+            // A fresh std map per round: a new random hasher state, plus
+            // a rotated (and every other round reversed) insertion order.
+            let mut order = pairs.clone();
+            order.rotate_left(round % pairs.len());
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            let mut votes: HashMap<(Asn, Asn), usize> = HashMap::new();
+            for key in order {
+                votes.insert(key, 3);
+            }
+            assert_eq!(
+                resolve_votes(&votes, &stats, &clique, 2.0),
+                want,
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn main() {
                 );
                 let validated: std::collections::BTreeSet<_> =
                     scenario.validation.labels.keys().copied().collect();
-                let scored = scenario.scored("asrank");
+                let scored = scenario.scored_arc("asrank");
                 let hl = breval_core::hardlinks::hard_link_report(&flags, &validated, &scored);
                 write_json(&args.out, "hardlinks", &hl);
                 emit("hardlinks", report::render_hard_links(&hl), None);
@@ -319,7 +319,7 @@ fn main() {
                     &scenario.stats,
                     &ppdc,
                 );
-                let scored = scenario.scored("asrank");
+                let scored = scenario.scored_arc("asrank");
                 let mut rows = Vec::new();
                 type Feature = (
                     &'static str,

@@ -268,7 +268,7 @@ pub fn eval(set: &SnapshotSet, query: Query) -> Reply {
             }
         }
         Query::Slice(region, topo) => {
-            let (links, validated) = set.slice_index().slice_counts(region, topo);
+            let (links, validated) = set.slice_index().grid().slice_counts(region, topo);
             Reply::Slice {
                 region,
                 topo,
@@ -276,15 +276,18 @@ pub fn eval(set: &SnapshotSet, query: Query) -> Reply {
                 validated,
             }
         }
-        Query::Stats => Reply::Stats {
-            generation: set.generation(),
-            classifiers: views.len() as u8,
-            nodes: views
-                .first()
-                .map_or(0, |v| CsrGraph::node_count(&v.csr) as u64),
-            links: set.slice_index().total_links(),
-            validated: set.slice_index().total_validated(),
-        },
+        Query::Stats => {
+            let (links, validated) = set.slice_index().grid().slice_counts(None, None);
+            Reply::Stats {
+                generation: set.generation(),
+                classifiers: views.len() as u8,
+                nodes: views
+                    .first()
+                    .map_or(0, |v| CsrGraph::node_count(&v.csr) as u64),
+                links,
+                validated,
+            }
+        }
     }
 }
 

@@ -11,17 +11,16 @@
 //! load time answers any slice (including wildcards) and any per-AS
 //! coverage lookup without allocating.
 //!
-//! Region pair codes are `ra * 5 + rb` over the RIR order AF, AP, AR, L, R
-//! with `ra <= rb` (the same normalisation as
-//! [`breval_core::classes::RegionClass::of`]); code [`REGION_NONE`] marks
-//! links with an unmapped endpoint, which the paper's regional figures
-//! discard. Topo pair codes are [`LinkClassifier::topo_pair_id`] codes
-//! verbatim.
+//! The region and topology codes are the pair from
+//! [`breval_core::classes::LinkClassifier::link_class`] verbatim; the code
+//! helpers are re-exported here for the query grammar.
 
 use asgraph::io::{ByteReader, ByteWriter, IoError};
 use asgraph::{AsIndexer, Asn, Link};
-use asregistry::RirRegion;
-use breval_core::classes::{LinkClassifier, RegionClass};
+pub use breval_core::classes::{
+    region_code_of, region_label_of, topo_code_of, topo_label_of, REGION_NONE,
+};
+use breval_core::coverage::ClassGrid;
 use breval_core::pipeline::Scenario;
 use breval_core::snapshot::{SnapshotError, SnapshotKey};
 use std::path::{Path, PathBuf};
@@ -30,98 +29,20 @@ use std::path::{Path, PathBuf};
 pub const SLICE_MAGIC: [u8; 8] = *b"BREVSLIC";
 /// On-disk schema version this build writes and accepts.
 pub const SLICE_VERSION: u32 = 1;
-/// Region pair code for links with an unmapped (reserved/unknown) endpoint.
-pub const REGION_NONE: u8 = 25;
 /// Pseudo-classifier name slice tables are keyed under on disk.
 pub const SLICE_KEY_NAME: &str = "slices";
-
-const REGION_CODES: usize = 26;
-const TOPO_CODES: usize = 16;
-/// The ten valid topo pair codes, ascending (see `topo_pair_label`).
-const VALID_TOPO: [u8; 10] = [0, 1, 2, 3, 5, 6, 7, 10, 11, 15];
 
 /// One inferred link and its slice classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceRow {
     /// The link (normalised, `a < b`).
     pub link: Link,
-    /// Region pair code (`ra * 5 + rb`, `ra <= rb`), or [`REGION_NONE`].
+    /// Region code (`lo * 5 + hi`, `lo <= hi`), or [`REGION_NONE`].
     pub region: u8,
-    /// Topo pair code ([`LinkClassifier::topo_pair_id`]).
+    /// Topology code.
     pub topo: u8,
     /// Whether the cleaned validation set labels this link.
     pub validated: bool,
-}
-
-/// The position of `region` in the paper's AF, AP, AR, L, R order.
-fn region_index(region: RirRegion) -> u8 {
-    let mut idx = 0u8;
-    for (i, r) in RirRegion::ALL.iter().enumerate() {
-        if *r == region {
-            idx = i as u8;
-        }
-    }
-    idx
-}
-
-/// The region pair code of a classified link.
-#[must_use]
-pub fn region_code_of_class(class: Option<RegionClass>) -> u8 {
-    match class {
-        None => REGION_NONE,
-        Some(RegionClass::Intra(r)) => region_index(r) * 5 + region_index(r),
-        Some(RegionClass::Inter(a, b)) => {
-            let (x, y) = (region_index(a), region_index(b));
-            let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-            lo * 5 + hi
-        }
-    }
-}
-
-/// The label of a region pair code (`AR°`, `AF-AP`, …), or `None` for
-/// invalid codes. [`REGION_NONE`] renders as `none`.
-#[must_use]
-pub fn region_label_of(code: u8) -> Option<String> {
-    if code == REGION_NONE {
-        return Some("none".to_owned());
-    }
-    let (lo, hi) = (code / 5, code % 5);
-    if lo > hi {
-        return None;
-    }
-    let a = RirRegion::ALL.get(lo as usize)?;
-    let b = RirRegion::ALL.get(hi as usize)?;
-    Some(RegionClass::of(*a, *b).label())
-}
-
-/// Parses a region slice token (`AR°`, `AF-AP`, `none`) to its pair code.
-#[must_use]
-pub fn region_code_of(token: &str) -> Option<u8> {
-    if token == "none" {
-        return Some(REGION_NONE);
-    }
-    (0..REGION_NONE).find(|&code| region_label_of(code).as_deref() == Some(token))
-}
-
-/// The label of a topo pair code (`S-TR`, `TR°`, …), or `None` for codes
-/// outside the valid ten. The non-panicking mirror of
-/// [`LinkClassifier::topo_pair_label`].
-#[must_use]
-pub fn topo_label_of(code: u8) -> Option<&'static str> {
-    if VALID_TOPO.contains(&code) {
-        Some(LinkClassifier::topo_pair_label(code))
-    } else {
-        None
-    }
-}
-
-/// Parses a topo slice token (`S-TR`, `TR°`, …) to its pair code.
-#[must_use]
-pub fn topo_code_of(token: &str) -> Option<u8> {
-    VALID_TOPO
-        .iter()
-        .copied()
-        .find(|c| LinkClassifier::topo_pair_label(*c) == token)
 }
 
 /// The persisted form: the key it was built under plus one row per
@@ -146,11 +67,14 @@ impl SliceTable {
         let rows = scenario
             .inferred_links
             .iter()
-            .map(|link| SliceRow {
-                link: *link,
-                region: region_code_of_class(scenario.classifier.region_class(*link)),
-                topo: scenario.classifier.topo_pair_id(*link),
-                validated: scenario.validation.labels.contains_key(link),
+            .map(|link| {
+                let (region, topo) = scenario.classifier.link_class(*link);
+                SliceRow {
+                    link: *link,
+                    region,
+                    topo,
+                    validated: scenario.validation.labels.contains_key(link),
+                }
             })
             .collect();
         SliceTable { rows }
@@ -229,7 +153,7 @@ impl SliceTable {
             if region > REGION_NONE || (region < REGION_NONE && region / 5 > region % 5) {
                 return Err(invalid("slice row region code is invalid"));
             }
-            if !VALID_TOPO.contains(&topo) {
+            if topo_label_of(topo).is_none() {
                 return Err(invalid("slice row topo code is invalid"));
             }
             rows.push(SliceRow {
@@ -279,16 +203,12 @@ impl SliceTable {
     }
 }
 
-/// Query-ready aggregates derived from a [`SliceTable`]: per-cell link and
-/// validated counts over region code × topo code, plus per-AS incident
-/// link/validated counts. Built once per generation; every lookup after
-/// that is allocation-free.
+/// Query-ready aggregates derived from a [`SliceTable`]: the region ×
+/// topology [`ClassGrid`] plus per-AS incident link/validated counts.
+/// Built once per generation; every lookup after that is allocation-free.
 #[derive(Debug, Clone)]
 pub struct SliceIndex {
-    links: [[u64; TOPO_CODES]; REGION_CODES],
-    validated: [[u64; TOPO_CODES]; REGION_CODES],
-    total_links: u64,
-    total_validated: u64,
+    grid: ClassGrid,
     per_as: AsIndexer,
     as_links: Vec<u32>,
     as_validated: Vec<u32>,
@@ -298,8 +218,7 @@ impl SliceIndex {
     /// Aggregates `table` into cell and per-AS counts.
     #[must_use]
     pub fn build(table: &SliceTable) -> Self {
-        let mut links = [[0u64; TOPO_CODES]; REGION_CODES];
-        let mut validated = [[0u64; TOPO_CODES]; REGION_CODES];
+        let mut grid = ClassGrid::default();
         let mut endpoints: Vec<Asn> = Vec::with_capacity(table.rows.len() * 2);
         for row in &table.rows {
             endpoints.push(row.link.a());
@@ -308,57 +227,27 @@ impl SliceIndex {
         let per_as = AsIndexer::from_unsorted(endpoints);
         let mut as_links = vec![0u32; per_as.len()];
         let mut as_validated = vec![0u32; per_as.len()];
-        let mut total_links = 0u64;
-        let mut total_validated = 0u64;
         for row in &table.rows {
-            let (r, t) = (row.region as usize, row.topo as usize);
-            if r < REGION_CODES && t < TOPO_CODES {
-                links[r][t] += 1;
-                if row.validated {
-                    validated[r][t] += 1;
-                }
-            }
-            total_links += 1;
-            total_validated += u64::from(row.validated);
+            grid.add(row.region, row.topo, row.validated);
             for asn in [row.link.a(), row.link.b()] {
                 if let Some(id) = per_as.id(asn) {
                     as_links[id as usize] += 1;
-                    as_validated[id as usize] += u64::from(row.validated) as u32;
+                    as_validated[id as usize] += u32::from(row.validated);
                 }
             }
         }
         SliceIndex {
-            links,
-            validated,
-            total_links,
-            total_validated,
+            grid,
             per_as,
             as_links,
             as_validated,
         }
     }
 
-    /// Link and validated counts for a region×topology slice; `None` on
-    /// either axis is a wildcard. Allocation-free (fixed-cell scan).
+    /// The region × topology count grid (slice queries).
     #[must_use]
-    pub fn slice_counts(&self, region: Option<u8>, topo: Option<u8>) -> (u64, u64) {
-        let mut links = 0u64;
-        let mut validated = 0u64;
-        let mut r = 0usize;
-        while r < REGION_CODES {
-            let mut t = 0usize;
-            while t < TOPO_CODES {
-                let take = region.is_none_or(|want| want as usize == r)
-                    && topo.is_none_or(|want| want as usize == t);
-                if take {
-                    links += self.links[r][t];
-                    validated += self.validated[r][t];
-                }
-                t += 1;
-            }
-            r += 1;
-        }
-        (links, validated)
+    pub fn grid(&self) -> &ClassGrid {
+        &self.grid
     }
 
     /// Incident link and validated counts for one AS (0, 0 if the AS is on
@@ -369,18 +258,6 @@ impl SliceIndex {
             Some(id) => (self.as_links[id as usize], self.as_validated[id as usize]),
             None => (0, 0),
         }
-    }
-
-    /// Total inferred links in the table.
-    #[must_use]
-    pub fn total_links(&self) -> u64 {
-        self.total_links
-    }
-
-    /// Total validated links in the table.
-    #[must_use]
-    pub fn total_validated(&self) -> u64 {
-        self.total_validated
     }
 }
 
@@ -426,29 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn region_codes_round_trip_through_labels() {
-        for code in 0..REGION_NONE {
-            if code / 5 > code % 5 {
-                continue; // non-normalised pair, never emitted
-            }
-            let label = region_label_of(code).expect("valid code has a label");
-            assert_eq!(region_code_of(&label), Some(code), "label {label}");
-        }
-        assert_eq!(region_code_of("none"), Some(REGION_NONE));
-        assert_eq!(region_code_of("XX"), None);
-    }
-
-    #[test]
-    fn topo_codes_round_trip_through_labels() {
-        for code in VALID_TOPO {
-            let label = topo_label_of(code).expect("valid code has a label");
-            assert_eq!(topo_code_of(label), Some(code), "label {label}");
-        }
-        assert_eq!(topo_label_of(4), None);
-        assert_eq!(topo_code_of("bogus"), None);
-    }
-
-    #[test]
     fn slice_table_round_trips() {
         let table = sample();
         let bytes = table.to_bytes(&key());
@@ -477,11 +331,12 @@ mod tests {
     #[test]
     fn index_answers_slices_and_per_as() {
         let idx = SliceIndex::build(&sample());
-        assert_eq!(idx.slice_counts(None, None), (3, 2));
-        assert_eq!(idx.slice_counts(Some(12), None), (2, 1));
-        assert_eq!(idx.slice_counts(None, Some(15)), (2, 1));
-        assert_eq!(idx.slice_counts(Some(12), Some(7)), (1, 1));
-        assert_eq!(idx.slice_counts(Some(0), Some(7)), (0, 0));
+        let grid = idx.grid();
+        assert_eq!(grid.slice_counts(None, None), (3, 2));
+        assert_eq!(grid.slice_counts(Some(12), None), (2, 1));
+        assert_eq!(grid.slice_counts(None, Some(15)), (2, 1));
+        assert_eq!(grid.slice_counts(Some(12), Some(7)), (1, 1));
+        assert_eq!(grid.slice_counts(Some(0), Some(7)), (0, 0));
         assert_eq!(idx.as_counts(Asn(1)), (2, 1));
         assert_eq!(idx.as_counts(Asn(3)), (2, 1));
         assert_eq!(idx.as_counts(Asn(99)), (0, 0));

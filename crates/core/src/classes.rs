@@ -9,6 +9,12 @@
 //! *inferred* graph, as the paper uses CAIDA's cone data) and are refined by
 //! the Tier-1 and hypergiant lists. Class labels follow the paper's
 //! convention (`S-TR`, `TR°`, `T1-TR`, `H-S`, …).
+//!
+//! A link's class is one dense code pair, [`LinkClassifier::link_class`]:
+//! a region code `lo * 5 + hi` over [`RirRegion::ALL`] (`lo <= hi`, or
+//! [`REGION_NONE`]) and a topology code `min * 4 + max` over H, S, T1, TR.
+//! Every fold counts on the codes; labels are made only at output, by
+//! [`region_label_of`] / [`topo_label_of`].
 
 use asgraph::{AsIndexer, Asn, ConeSizes, Link};
 use asregistry::{RegionMap, RirRegion};
@@ -16,36 +22,74 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// A regional link class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum RegionClass {
-    /// Both ASes in the same region.
-    Intra(RirRegion),
-    /// ASes in two different regions (stored in abbreviation order).
-    Inter(RirRegion, RirRegion),
+/// Region code for links with an unmapped (reserved/unknown) endpoint,
+/// which the paper's regional figures and table rows discard.
+pub const REGION_NONE: u8 = 25;
+/// Region codes: the 25 `lo * 5 + hi` slots plus [`REGION_NONE`].
+pub const REGION_CODES: usize = 26;
+/// Topology codes: the 16 `min * 4 + max` slots (ten are valid pairs).
+pub const TOPO_CODES: usize = 16;
+
+/// The region code of a link between regions `a` and `b` (symmetric).
+fn region_code(a: RirRegion, b: RirRegion) -> u8 {
+    let index = |r| RirRegion::ALL.iter().position(|x| *x == r).unwrap_or(0) as u8;
+    let (x, y) = (index(a), index(b));
+    x.min(y) * 5 + x.max(y)
 }
 
-impl RegionClass {
-    /// Builds the class for two regions, normalising the order.
-    #[must_use]
-    pub fn of(a: RirRegion, b: RirRegion) -> Self {
-        if a == b {
-            RegionClass::Intra(a)
-        } else if a.abbrev() < b.abbrev() {
-            RegionClass::Inter(a, b)
-        } else {
-            RegionClass::Inter(b, a)
-        }
+/// The label of a region code (`AR°`, `AF-AP`, …), or `None` for invalid
+/// codes. [`REGION_NONE`] renders as `none`.
+#[must_use]
+pub fn region_label_of(code: u8) -> Option<String> {
+    if code == REGION_NONE {
+        return Some("none".to_owned());
     }
+    let (lo, hi) = (code / 5, code % 5);
+    let a = RirRegion::ALL.get(usize::from(lo))?.abbrev();
+    let b = RirRegion::ALL.get(usize::from(hi))?.abbrev();
+    match lo.cmp(&hi) {
+        std::cmp::Ordering::Less => Some(format!("{a}-{b}")),
+        std::cmp::Ordering::Equal => Some(format!("{a}°")),
+        std::cmp::Ordering::Greater => None,
+    }
+}
 
-    /// The paper's label: `R°`, `AR-L`, ….
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            RegionClass::Intra(r) => format!("{}°", r.abbrev()),
-            RegionClass::Inter(a, b) => format!("{}-{}", a.abbrev(), b.abbrev()),
-        }
-    }
+/// Parses a region label (`AR°`, `AF-AP`, `none`) to its code.
+#[must_use]
+pub fn region_code_of(label: &str) -> Option<u8> {
+    (0..=REGION_NONE).find(|&code| region_label_of(code).as_deref() == Some(label))
+}
+
+/// The topology code of a link between classes `a` and `b` (symmetric).
+#[must_use]
+pub fn topo_code(a: TopoClass, b: TopoClass) -> u8 {
+    (a.min(b) as u8) * 4 + (a.max(b) as u8)
+}
+
+/// The label of a topology code (`S-TR`, `TR°`, `H-T1`, …), in the
+/// paper's H, S, T1, TR pair order, or `None` for codes that are not a
+/// valid pair.
+#[must_use]
+pub fn topo_label_of(code: u8) -> Option<&'static str> {
+    Some(match code {
+        0 => "H°",
+        1 => "H-S",
+        2 => "H-T1",
+        3 => "H-TR",
+        5 => "S°",
+        6 => "S-T1",
+        7 => "S-TR",
+        10 => "T1°",
+        11 => "T1-TR",
+        15 => "TR°",
+        _ => return None,
+    })
+}
+
+/// Parses a topology label (`S-TR`, `TR°`, …) to its code.
+#[must_use]
+pub fn topo_code_of(label: &str) -> Option<u8> {
+    (0..TOPO_CODES as u8).find(|&code| topo_label_of(code) == Some(label))
 }
 
 /// A node's topological class.
@@ -59,19 +103,6 @@ pub enum TopoClass {
     T1,
     /// Transit (non-empty inferred customer cone).
     TR,
-}
-
-impl TopoClass {
-    /// Short label.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            TopoClass::H => "H",
-            TopoClass::S => "S",
-            TopoClass::T1 => "T1",
-            TopoClass::TR => "TR",
-        }
-    }
 }
 
 /// The Stub/Transit/T1/hypergiant partition materialised once as a flat
@@ -179,67 +210,23 @@ impl LinkClassifier {
         self.region_map.region(asn)
     }
 
-    /// The regional class of a link; `None` when either endpoint is reserved
-    /// or unmapped (such links are discarded in §5).
-    #[must_use]
-    pub fn region_class(&self, link: Link) -> Option<RegionClass> {
-        let a = self.region(link.a())?;
-        let b = self.region(link.b())?;
-        Some(RegionClass::of(a, b))
-    }
-
     /// The topological class of an AS (ASes outside the partition are stubs).
     #[must_use]
     pub fn node_class(&self, asn: Asn) -> TopoClass {
         self.topo.class(asn).unwrap_or(TopoClass::S)
     }
 
-    /// A dense code for the (unordered) topological class pair of a link:
-    /// `min * 4 + max` with classes ordered H, S, T1, TR. Codes are what the
-    /// keyed coverage kernel aggregates on; [`LinkClassifier::topo_pair_label`]
-    /// maps them back to the paper's labels at the serialization boundary.
+    /// The class of a link as its (region code, topology code) pair. The
+    /// region code is [`REGION_NONE`] when either endpoint is reserved or
+    /// unmapped (such links are discarded from the regional classes, §5).
     #[must_use]
-    pub fn topo_pair_id(&self, link: Link) -> u8 {
-        let (a, b) = (self.node_class(link.a()), self.node_class(link.b()));
-        let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        (x as u8) * 4 + (y as u8)
-    }
-
-    /// The label behind a [`LinkClassifier::topo_pair_id`] code (`S-TR`,
-    /// `TR°`, `H-T1`, …), in the paper's H, S, T1, TR pair order.
-    ///
-    /// # Panics
-    /// If `code` is not a valid pair code.
-    #[must_use]
-    pub fn topo_pair_label(code: u8) -> &'static str {
-        match code {
-            0 => "H°",
-            1 => "H-S",
-            2 => "H-T1",
-            3 => "H-TR",
-            5 => "S°",
-            6 => "S-T1",
-            7 => "S-TR",
-            10 => "T1°",
-            11 => "T1-TR",
-            15 => "TR°",
-            // breval-lint: allow(L009) -- pair codes are built from the enum match above; other values impossible
-            _ => unreachable!("invalid topo pair code {code}"),
-        }
-    }
-
-    /// The topological class label of a link (`S-TR`, `TR°`, `H-T1`, …).
-    /// Pairs are ordered H, S, T1, TR (the paper's convention).
-    #[must_use]
-    pub fn topo_class(&self, link: Link) -> String {
-        Self::topo_pair_label(self.topo_pair_id(link)).to_string()
-    }
-
-    /// `true` if both endpoints classify as transit (the `TR°` links the
-    /// heatmaps drill into).
-    #[must_use]
-    pub fn is_tr_tr(&self, link: Link) -> bool {
-        self.node_class(link.a()) == TopoClass::TR && self.node_class(link.b()) == TopoClass::TR
+    pub fn link_class(&self, link: Link) -> (u8, u8) {
+        let region = match (self.region(link.a()), self.region(link.b())) {
+            (Some(a), Some(b)) => region_code(a, b),
+            _ => REGION_NONE,
+        };
+        let topo = topo_code(self.node_class(link.a()), self.node_class(link.b()));
+        (region, topo)
     }
 }
 
@@ -287,53 +274,66 @@ mod tests {
         )
     }
 
+    fn region_label(a: RirRegion, b: RirRegion) -> Option<String> {
+        region_label_of(region_code(a, b))
+    }
+
+    fn topo_label(c: &LinkClassifier, a: u32, b: u32) -> Option<&'static str> {
+        topo_label_of(
+            c.link_class(Link::new(Asn(a), Asn(b)).expect("distinct endpoints"))
+                .1,
+        )
+    }
+
     #[test]
     fn region_labels_match_paper_convention() {
-        assert_eq!(
-            RegionClass::of(RirRegion::RipeNcc, RirRegion::RipeNcc).label(),
-            "R°"
-        );
-        assert_eq!(
-            RegionClass::of(RirRegion::RipeNcc, RirRegion::Arin).label(),
-            "AR-R"
-        );
-        assert_eq!(
-            RegionClass::of(RirRegion::Lacnic, RirRegion::Arin).label(),
-            "AR-L"
-        );
-        assert_eq!(
-            RegionClass::of(RirRegion::Apnic, RirRegion::Afrinic).label(),
-            "AF-AP"
-        );
+        use RirRegion::*;
+        assert_eq!(region_label(RipeNcc, RipeNcc).as_deref(), Some("R°"));
+        assert_eq!(region_label(RipeNcc, Arin).as_deref(), Some("AR-R"));
+        assert_eq!(region_label(Lacnic, Arin).as_deref(), Some("AR-L"));
+        assert_eq!(region_label(Apnic, Afrinic).as_deref(), Some("AF-AP"));
         // Symmetric.
-        assert_eq!(
-            RegionClass::of(RirRegion::Arin, RirRegion::Lacnic),
-            RegionClass::of(RirRegion::Lacnic, RirRegion::Arin)
-        );
+        assert_eq!(region_code(Arin, Lacnic), region_code(Lacnic, Arin));
+    }
+
+    #[test]
+    fn region_codes_round_trip_through_labels() {
+        for code in 0..=REGION_NONE {
+            match region_label_of(code) {
+                Some(label) => assert_eq!(region_code_of(&label), Some(code), "label {label}"),
+                // Only non-normalised pairs (lo > hi) have no label.
+                None => assert!(code / 5 > code % 5, "code {code}"),
+            }
+        }
+        assert_eq!(region_label_of(REGION_NONE).as_deref(), Some("none"));
+        assert_eq!(region_label_of(REGION_NONE + 1), None);
+        assert_eq!(region_code_of("XX"), None);
+    }
+
+    #[test]
+    fn topo_codes_round_trip_through_labels() {
+        let valid: Vec<u8> = (0..TOPO_CODES as u8)
+            .filter(|&c| topo_label_of(c).is_some())
+            .collect();
+        assert_eq!(valid, [0, 1, 2, 3, 5, 6, 7, 10, 11, 15]);
+        for code in valid {
+            let label = topo_label_of(code).expect("valid code has a label");
+            assert_eq!(topo_code_of(label), Some(code), "label {label}");
+        }
+        assert_eq!(topo_label_of(4), None);
+        assert_eq!(topo_label_of(u8::MAX), None);
+        assert_eq!(topo_code_of("bogus"), None);
     }
 
     #[test]
     fn link_region_classes() {
         let c = classifier();
-        assert_eq!(
-            c.region_class(Link::new(Asn(5), Asn(900)).expect("distinct endpoints"))
-                .expect("both endpoints have regions")
-                .label(),
-            "AR°"
-        );
-        assert_eq!(
-            c.region_class(Link::new(Asn(5), Asn(1500)).expect("distinct endpoints"))
-                .expect("both endpoints have regions")
-                .label(),
-            "AR-L"
-        );
-        // Unmapped / reserved endpoints yield None.
-        assert!(c
-            .region_class(Link::new(Asn(5), Asn(9999)).expect("distinct endpoints"))
-            .is_none());
-        assert!(c
-            .region_class(Link::new(Asn(5), Asn(64512)).expect("distinct endpoints"))
-            .is_none());
+        let region = |a, b| region_label_of(c.link_class(Link::new(Asn(a), Asn(b))?).0);
+        assert_eq!(region(5, 900).as_deref(), Some("AR°"));
+        assert_eq!(region(5, 1500).as_deref(), Some("AR-L"));
+        // Unmapped / reserved endpoints yield REGION_NONE.
+        assert_eq!(region(5, 9999).as_deref(), Some("none"));
+        assert_eq!(region(5, 64512).as_deref(), Some("none"));
     }
 
     #[test]
@@ -350,34 +350,14 @@ mod tests {
     #[test]
     fn topo_labels_match_paper_convention() {
         let c = classifier();
-        assert_eq!(
-            c.topo_class(Link::new(Asn(10), Asn(100)).expect("distinct endpoints")),
-            "S-TR"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(1), Asn(10)).expect("distinct endpoints")),
-            "T1-TR"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(1), Asn(100)).expect("distinct endpoints")),
-            "S-T1"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(500), Asn(10)).expect("distinct endpoints")),
-            "H-TR"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(500), Asn(100)).expect("distinct endpoints")),
-            "H-S"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(500), Asn(1)).expect("distinct endpoints")),
-            "H-T1"
-        );
-        assert_eq!(
-            c.topo_class(Link::new(Asn(100), Asn(101)).expect("distinct endpoints")),
-            "S°"
-        );
-        assert!(!c.is_tr_tr(Link::new(Asn(10), Asn(11)).expect("distinct endpoints")));
+        assert_eq!(topo_label(&c, 10, 100), Some("S-TR"));
+        assert_eq!(topo_label(&c, 1, 10), Some("T1-TR"));
+        assert_eq!(topo_label(&c, 1, 100), Some("S-T1"));
+        assert_eq!(topo_label(&c, 500, 10), Some("H-TR"));
+        assert_eq!(topo_label(&c, 500, 100), Some("H-S"));
+        assert_eq!(topo_label(&c, 500, 1), Some("H-T1"));
+        assert_eq!(topo_label(&c, 100, 101), Some("S°"));
+        // 11 is outside the partition, hence a stub.
+        assert_eq!(topo_label(&c, 10, 11), Some("S-TR"));
     }
 }

@@ -1,8 +1,11 @@
 //! Figs. 1–2 — per-class link share vs validation coverage.
 
+use crate::classes::{
+    region_label_of, topo_label_of, LinkClassifier, REGION_CODES, REGION_NONE, TOPO_CODES,
+};
 use asgraph::Link;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One bar pair of Fig. 1 / Fig. 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -22,97 +25,123 @@ pub struct ClassCoverage {
 /// Base links per parallel work item. The effective chunk is
 /// `breval_par::input_scaled_chunk(len, LINK_CHUNK)` — a function of the
 /// link count only (never the thread count), so the chunk boundaries are
-/// identical at any thread count while the per-chunk maps stay bounded at
-/// million-link scale.
+/// identical at any thread count.
 const LINK_CHUNK: usize = 512;
 
-/// Computes per-class shares and coverage.
-///
-/// * `inferred` — the inferred link set (the topology snapshot under study),
-/// * `validated` — links carrying cleaned validation labels,
-/// * `class_of` — class assignment; links mapping to `None` are discarded
-///   (reserved endpoints, §5).
-///
-/// Convenience wrapper over [`coverage_by_class_keyed`] for callers whose
-/// classes are already label strings.
-#[must_use]
-pub fn coverage_by_class<F>(
-    inferred: &BTreeSet<Link>,
-    validated: &BTreeSet<Link>,
-    class_of: F,
-) -> Vec<ClassCoverage>
-where
-    F: Fn(Link) -> Option<String> + Sync,
-{
-    coverage_by_class_keyed(inferred, validated, class_of, |c| c.clone())
+/// `(links, validated)` counts per region code × topology code (see
+/// [`crate::classes`]): the one count grid behind Figs. 1–2 and `brevald`'s
+/// slice queries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassGrid {
+    cells: [[(u64, u64); TOPO_CODES]; REGION_CODES],
 }
 
-/// [`coverage_by_class`] over an arbitrary compact key type.
-///
-/// The hot loop aggregates on `C` (e.g. a `Copy` enum or a dense `u8` pair
-/// code) and only materialises label strings once per *class* via `label_of`
-/// at the very end — the serialization boundary. `label_of` must be
-/// injective over the keys actually produced; rows are sorted by
-/// (share desc, label asc) *after* labelling, so the output is byte-identical
-/// to the string-keyed form.
-///
-/// Classification is sharded across the worker pool in fixed-size link
-/// chunks; per-chunk class counts are merged by summation, which is
-/// order-independent, so the output is byte-identical at any thread count.
-///
-/// Returns rows sorted by descending share, as the figures are.
-#[must_use]
-pub fn coverage_by_class_keyed<C, F, L>(
-    inferred: &BTreeSet<Link>,
-    validated: &BTreeSet<Link>,
-    class_of: F,
-    label_of: L,
-) -> Vec<ClassCoverage>
-where
-    C: Ord + Send,
-    F: Fn(Link) -> Option<C> + Sync,
-    L: Fn(&C) -> String,
-{
-    let _span = breval_obs::span!("coverage_by_class");
-    let links: Vec<Link> = inferred.iter().copied().collect();
-    let link_chunk = breval_par::input_scaled_chunk(links.len(), LINK_CHUNK);
-    let chunks = links.len().div_ceil(link_chunk);
-    let partials = breval_par::parallel_map(chunks, |c| {
-        let lo = c * link_chunk;
-        let hi = (lo + link_chunk).min(links.len());
-        let mut per_class: BTreeMap<C, (usize, usize)> = BTreeMap::new();
-        let mut classified = 0usize;
-        for link in &links[lo..hi] {
-            let Some(class) = class_of(*link) else {
-                continue;
-            };
-            classified += 1;
-            let entry = per_class.entry(class).or_insert((0, 0));
-            entry.0 += 1;
-            if validated.contains(link) {
-                entry.1 += 1;
+impl ClassGrid {
+    /// Classifies every link, sharded across the worker pool in fixed-size
+    /// link chunks. Per-chunk grids are merged by summation, which is
+    /// order-independent, so the grid is identical at any thread count.
+    #[must_use]
+    pub fn build<V>(links: &BTreeSet<Link>, classifier: &LinkClassifier, is_validated: V) -> Self
+    where
+        V: Fn(&Link) -> bool + Sync,
+    {
+        let _span = breval_obs::span!("coverage_by_class");
+        let links: Vec<Link> = links.iter().copied().collect();
+        let link_chunk = breval_par::input_scaled_chunk(links.len(), LINK_CHUNK);
+        let partials = breval_par::parallel_map(links.len().div_ceil(link_chunk), |c| {
+            let mut grid = ClassGrid::default();
+            for link in links.iter().skip(c * link_chunk).take(link_chunk) {
+                let (region, topo) = classifier.link_class(*link);
+                grid.add(region, topo, is_validated(link));
+            }
+            grid
+        });
+        let mut grid = ClassGrid::default();
+        for partial in &partials {
+            for (cell, part) in grid
+                .cells
+                .iter_mut()
+                .flatten()
+                .zip(partial.cells.iter().flatten())
+            {
+                cell.0 += part.0;
+                cell.1 += part.1;
             }
         }
-        (per_class, classified)
-    });
-    let mut per_class: BTreeMap<C, (usize, usize)> = BTreeMap::new();
-    let mut classified_total = 0usize;
-    for (partial, classified) in partials {
-        classified_total += classified;
-        for (class, (links, validated)) in partial {
-            let entry = per_class.entry(class).or_insert((0, 0));
-            entry.0 += links;
-            entry.1 += validated;
+        breval_obs::counter("coverage_links_classified", grid.mapped(None).0);
+        grid
+    }
+
+    /// Counts one link in its cell; codes outside the grid are ignored.
+    pub fn add(&mut self, region: u8, topo: u8, validated: bool) {
+        let cell = self
+            .cells
+            .get_mut(usize::from(region))
+            .and_then(|row| row.get_mut(usize::from(topo)));
+        if let Some(cell) = cell {
+            cell.0 += 1;
+            cell.1 += u64::from(validated);
         }
     }
-    breval_obs::counter("coverage_links_classified", classified_total as u64);
-    let mut rows: Vec<ClassCoverage> = per_class
-        .into_iter()
-        .map(|(class, (links, validated))| ClassCoverage {
-            class: label_of(&class),
-            inferred_links: links,
-            share: links as f64 / classified_total.max(1) as f64,
-            validated_links: validated,
+
+    /// Link and validated counts for a region×topology slice; `None` on
+    /// either axis is a wildcard. Allocation-free.
+    #[must_use]
+    pub fn slice_counts(&self, region: Option<u8>, topo: Option<u8>) -> (u64, u64) {
+        let mut sum = (0, 0);
+        for (r, row) in self.cells.iter().enumerate() {
+            for (t, cell) in row.iter().enumerate() {
+                if region.is_none_or(|want| usize::from(want) == r)
+                    && topo.is_none_or(|want| usize::from(want) == t)
+                {
+                    sum.0 += cell.0;
+                    sum.1 += cell.1;
+                }
+            }
+        }
+        sum
+    }
+
+    /// Fig. 1 rows: the region marginal over links with a region.
+    #[must_use]
+    pub fn region_rows(&self) -> Vec<ClassCoverage> {
+        let classes = (0..REGION_NONE).filter_map(|code| {
+            let (links, validated) = self.slice_counts(Some(code), None);
+            Some((region_label_of(code)?, links, validated))
+        });
+        rows(classes, self.mapped(None).0)
+    }
+
+    /// Fig. 2 rows: the topology marginal over links with a region (the
+    /// paper discards links with reserved/unmapped endpoints here too).
+    #[must_use]
+    pub fn topo_rows(&self) -> Vec<ClassCoverage> {
+        let classes = (0..TOPO_CODES as u8).filter_map(|code| {
+            let (links, validated) = self.mapped(Some(code));
+            Some((topo_label_of(code)?.to_owned(), links, validated))
+        });
+        rows(classes, self.mapped(None).0)
+    }
+
+    /// `(links, validated)` over the cells with a region code and topology
+    /// code `topo` (`None`: any).
+    fn mapped(&self, topo: Option<u8>) -> (u64, u64) {
+        let (links, validated) = self.slice_counts(None, topo);
+        let (none_links, none_validated) = self.slice_counts(Some(REGION_NONE), topo);
+        (links - none_links, validated - none_validated)
+    }
+}
+
+/// Coverage rows for the classes with at least one link, sorted by
+/// descending share, then label, as the figures are.
+fn rows(classes: impl Iterator<Item = (String, u64, u64)>, total: u64) -> Vec<ClassCoverage> {
+    let mut rows: Vec<ClassCoverage> = classes
+        .filter(|&(_, links, _)| links > 0)
+        .map(|(class, links, validated)| ClassCoverage {
+            class,
+            inferred_links: links as usize,
+            share: links as f64 / total.max(1) as f64,
+            validated_links: validated as usize,
             coverage: validated as f64 / links.max(1) as f64,
         })
         .collect();
@@ -128,52 +157,65 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::Asn;
 
-    fn link(a: u32, b: u32) -> Link {
-        Link::new(Asn(a), Asn(b)).unwrap()
+    /// Region codes: AR° = 12, AR-L = 13, L° = 18. Topology codes:
+    /// S-TR = 7, TR° = 15.
+    fn grid() -> ClassGrid {
+        let mut g = ClassGrid::default();
+        for (region, topo, validated) in [
+            (12, 7, true),
+            (12, 7, false),
+            (12, 15, true),
+            (13, 15, false),
+            (REGION_NONE, 15, true),
+        ] {
+            g.add(region, topo, validated);
+        }
+        g.add(REGION_NONE + 1, 0, true); // outside the grid: ignored
+        g
     }
 
     #[test]
-    fn shares_and_coverage() {
-        let inferred: BTreeSet<Link> = [link(1, 2), link(1, 3), link(2, 3), link(10, 11)]
-            .into_iter()
-            .collect();
-        let validated: BTreeSet<Link> = [link(1, 2), link(10, 11)].into_iter().collect();
-        // Class: "low" for links among 1-3, "high" for 10+.
-        let rows = coverage_by_class(&inferred, &validated, |l| {
-            Some(if l.a().0 < 10 {
-                "low".into()
-            } else {
-                "high".into()
-            })
-        });
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].class, "low");
+    fn slices_and_wildcards() {
+        let g = grid();
+        assert_eq!(g.slice_counts(None, None), (5, 3));
+        assert_eq!(g.slice_counts(Some(12), None), (3, 2));
+        assert_eq!(g.slice_counts(None, Some(15)), (3, 2));
+        assert_eq!(g.slice_counts(Some(12), Some(7)), (2, 1));
+        assert_eq!(g.slice_counts(Some(18), None), (0, 0));
+    }
+
+    #[test]
+    fn region_rows_discard_unmapped_links() {
+        let rows = grid().region_rows();
+        let labels: Vec<&str> = rows.iter().map(|r| r.class.as_str()).collect();
+        assert_eq!(labels, ["AR°", "AR-L"]);
         assert_eq!(rows[0].inferred_links, 3);
-        assert!((rows[0].share - 0.75).abs() < 1e-12);
-        assert!((rows[0].coverage - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rows[1].class, "high");
-        assert!((rows[1].coverage - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unclassified_links_are_excluded_from_totals() {
-        let inferred: BTreeSet<Link> = [link(1, 2), link(5, 6)].into_iter().collect();
-        let validated: BTreeSet<Link> = BTreeSet::new();
-        let rows = coverage_by_class(&inferred, &validated, |l| {
-            (l.a().0 == 1).then(|| "x".to_string())
-        });
-        assert_eq!(rows.len(), 1);
         assert!(
-            (rows[0].share - 1.0).abs() < 1e-12,
+            (rows[0].share - 0.75).abs() < 1e-12,
             "share over classified only"
         );
+        assert!((rows[0].coverage - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(rows[1].validated_links, 0);
     }
 
     #[test]
-    fn empty_inputs() {
-        let rows = coverage_by_class(&BTreeSet::new(), &BTreeSet::new(), |_| Some("x".into()));
-        assert!(rows.is_empty());
+    fn topo_rows_are_region_gated() {
+        let rows = grid().topo_rows();
+        let got: Vec<(&str, usize, usize)> = rows
+            .iter()
+            .map(|r| (r.class.as_str(), r.inferred_links, r.validated_links))
+            .collect();
+        // Ties in share sort by label.
+        assert_eq!(got, [("S-TR", 2, 1), ("TR°", 2, 1)]);
+        assert!((rows[0].share - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_grid_has_no_rows() {
+        let g = ClassGrid::default();
+        assert!(g.region_rows().is_empty());
+        assert!(g.topo_rows().is_empty());
+        assert_eq!(g.slice_counts(None, None), (0, 0));
     }
 }

@@ -48,9 +48,9 @@ pub mod sanitize;
 pub mod snapshot;
 pub mod timeline;
 
-pub use classes::{LinkClassifier, RegionClass, TopoClass, TopoIndex};
+pub use classes::{LinkClassifier, TopoClass, TopoIndex};
 pub use cleaning::{AmbiguousPolicy, CleanValidation, CleaningConfig, CleaningReport};
-pub use coverage::{coverage_by_class, coverage_by_class_keyed, ClassCoverage};
+pub use coverage::{ClassCoverage, ClassGrid};
 pub use heatmap::{Heatmap, HeatmapConfig};
 pub use metrics::{ClassEval, ConfusionMatrix, EvalTable};
 pub use pipeline::{Scenario, ScenarioConfig};

@@ -6,6 +6,7 @@
 //! columns (and additionally F1, balanced accuracy and the Fowlkes–Mallows
 //! index, which the paper mentions but does not tabulate).
 
+use crate::classes::{region_label_of, topo_label_of, REGION_CODES, REGION_NONE, TOPO_CODES};
 use asgraph::{Link, Rel, RelClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -98,6 +99,16 @@ impl ConfusionMatrix {
     pub fn fowlkes_mallows(&self) -> f64 {
         (self.ppv() * self.tpr()).sqrt()
     }
+
+    /// Counts one item by its actual and predicted positivity.
+    fn add(&mut self, actual: bool, predicted: bool) {
+        match (actual, predicted) {
+            (true, true) => self.tp += 1,
+            (false, true) => self.fp += 1,
+            (true, false) => self.fn_ += 1,
+            (false, false) => self.tn += 1,
+        }
+    }
 }
 
 /// One (validation label, inferred label) pair for a link.
@@ -118,20 +129,16 @@ pub struct ScoredLink {
 pub fn confusion(scored: &[ScoredLink], positive: RelClass) -> ConfusionMatrix {
     let mut m = ConfusionMatrix::default();
     for s in scored {
-        let val_pos = s.validation.class() == positive;
-        let inf_pos = s.inferred.class() == positive;
-        match (val_pos, inf_pos) {
-            (true, true) => m.tp += 1,
-            (false, true) => m.fp += 1,
-            (true, false) => m.fn_ += 1,
-            (false, false) => m.tn += 1,
-        }
+        m.add(
+            s.validation.class() == positive,
+            s.inferred.class() == positive,
+        );
     }
     m
 }
 
 /// The evaluation of one link class — one row of Tables 1–3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClassEval {
     /// Class label (e.g. `"T1-TR"`, `"AR-L"`, `"Total°"`).
     pub class: String,
@@ -155,34 +162,31 @@ impl ClassEval {
     /// Evaluates one class's scored links.
     #[must_use]
     pub fn evaluate(class: impl Into<String>, scored: &[ScoredLink]) -> Self {
-        let p2p = confusion(scored, RelClass::P2p);
-        let p2c = confusion(scored, RelClass::P2c);
-        let orientation_errors = scored
-            .iter()
-            .filter(|s| {
-                s.validation.class() == RelClass::P2c
-                    && s.inferred.class() == RelClass::P2c
-                    && s.validation != s.inferred
-            })
-            .count();
-        let lc_p = scored
-            .iter()
-            .filter(|s| s.validation.class() == RelClass::P2p)
-            .count();
-        let lc_c = scored
-            .iter()
-            .filter(|s| s.validation.class() == RelClass::P2c)
-            .count();
-        ClassEval {
-            class: class.into(),
-            p2p,
-            p2c,
-            lc_p,
-            lc_c,
-            orientation_errors,
-            mcc: p2p.mcc(),
-            fm: p2p.fowlkes_mallows(),
+        let mut eval = ClassEval::default();
+        for s in scored {
+            eval.add(s);
         }
+        eval.finish(class)
+    }
+
+    /// Folds one scored link into the counts; [`ClassEval::finish`] derives
+    /// the scores.
+    fn add(&mut self, s: &ScoredLink) {
+        let (val, inf) = (s.validation.class(), s.inferred.class());
+        self.p2p.add(val == RelClass::P2p, inf == RelClass::P2p);
+        self.p2c.add(val == RelClass::P2c, inf == RelClass::P2c);
+        self.lc_p += usize::from(val == RelClass::P2p);
+        self.lc_c += usize::from(val == RelClass::P2c);
+        self.orientation_errors +=
+            usize::from(val == RelClass::P2c && inf == RelClass::P2c && s.validation != s.inferred);
+    }
+
+    /// Labels the row and derives MCC and Fowlkes–Mallows from the counts.
+    fn finish(mut self, class: impl Into<String>) -> Self {
+        self.class = class.into();
+        self.mcc = self.p2p.mcc();
+        self.fm = self.p2p.fowlkes_mallows();
+        self
     }
 }
 
@@ -198,9 +202,11 @@ pub struct EvalTable {
 }
 
 impl EvalTable {
-    /// Builds a table from scored links and a class-assignment function. Only
-    /// classes with at least `min_links` scored links get a row (the paper
-    /// uses 500).
+    /// Builds a table from scored links and their (region code, topology
+    /// code) classes (see [`crate::classes`]). Each link is folded into
+    /// its region row (unless the region code is [`REGION_NONE`]) and its
+    /// topology row. Only classes with at least `min_links` scored links
+    /// (and at least one) get a row; the paper uses 500.
     #[must_use]
     pub fn build<F>(
         classifier: impl Into<String>,
@@ -209,25 +215,36 @@ impl EvalTable {
         min_links: usize,
     ) -> Self
     where
-        F: Fn(Link) -> Option<String>,
+        F: Fn(Link) -> (u8, u8),
     {
-        let mut per_class: BTreeMap<String, Vec<ScoredLink>> = BTreeMap::new();
+        let mut total = ClassEval::default();
+        let mut regions = vec![ClassEval::default(); REGION_CODES];
+        let mut topos = vec![ClassEval::default(); TOPO_CODES];
         for s in scored {
-            if let Some(class) = class_of(s.link) {
-                per_class.entry(class).or_default().push(*s);
+            let (region, topo) = class_of(s.link);
+            total.add(s);
+            if let Some(row) = regions.get_mut(usize::from(region)) {
+                row.add(s);
+            }
+            if let Some(row) = topos.get_mut(usize::from(topo)) {
+                row.add(s);
             }
         }
-        let rows = per_class
-            .into_iter()
-            .filter(|(_, links)| links.len() >= min_links)
-            .map(|(class, links)| {
-                let eval = ClassEval::evaluate(class.clone(), &links);
-                (class, eval)
-            })
+        // Zipping with `0..REGION_NONE` drops the unmapped links' row.
+        let region_rows = (0..REGION_NONE)
+            .zip(regions)
+            .filter_map(|(code, eval)| Some((region_label_of(code)?, eval)));
+        let topo_rows = (0u8..)
+            .zip(topos)
+            .filter_map(|(code, eval)| Some((topo_label_of(code)?.to_owned(), eval)));
+        let rows = region_rows
+            .chain(topo_rows)
+            .filter(|(_, eval)| eval.p2p.total() >= min_links.max(1))
+            .map(|(label, eval)| (label.clone(), eval.finish(label)))
             .collect();
         EvalTable {
             classifier: classifier.into(),
-            total: ClassEval::evaluate("Total°", scored),
+            total: total.finish("Total°"),
             rows,
         }
     }
@@ -383,20 +400,17 @@ mod tests {
             validation: P2P,
             inferred: P2P,
         });
-        let table = EvalTable::build(
-            "test",
-            &scored_links,
-            |l| {
-                Some(if l.a() == Asn(1) {
-                    "tiny".into()
-                } else {
-                    "big".into()
-                })
-            },
-            5,
-        );
-        assert!(table.rows.contains_key("big"));
-        assert!(!table.rows.contains_key("tiny"));
+        // Link 1-2 is AF° / H°; the others are AR° (12) / S-TR (7).
+        let classes = |l: Link| if l.a() == Asn(1) { (0, 0) } else { (12, 7) };
+        let table = EvalTable::build("test", &scored_links, classes, 5);
+        let labels: Vec<&str> = table.rows.keys().map(String::as_str).collect();
+        assert_eq!(labels, ["AR°", "S-TR"]);
+        assert_eq!(table.rows["AR°"].class, "AR°");
+        assert_eq!(table.rows["S-TR"].lc_p, 10);
         assert_eq!(table.total.lc_p, 11);
+        // Unmapped links get no region row but keep their topology row.
+        let table = EvalTable::build("test", &scored_links, |_| (REGION_NONE, 15), 0);
+        let labels: Vec<&str> = table.rows.keys().map(String::as_str).collect();
+        assert_eq!(labels, ["TR°"]);
     }
 }

@@ -2,9 +2,11 @@
 //! validation → clean → classify. Everything the figures and tables need,
 //! in one deterministic object.
 
-use crate::classes::LinkClassifier;
+use crate::classes::{
+    region_code_of, topo_code, topo_code_of, LinkClassifier, TopoClass, REGION_NONE,
+};
 use crate::cleaning::{clean, CleanValidation, CleaningConfig};
-use crate::coverage::{coverage_by_class_keyed, ClassCoverage};
+use crate::coverage::{ClassCoverage, ClassGrid};
 use crate::heatmap::{Heatmap, HeatmapConfig};
 use crate::metrics::{EvalTable, ScoredLink};
 use crate::sanitize;
@@ -318,8 +320,7 @@ impl Scenario {
     /// Joins one classifier's inferences with the cleaned validation labels.
     ///
     /// The join is computed at most once per classifier and cached; this
-    /// returns a shared handle to the cached vector. Prefer this over
-    /// [`Scenario::scored`] when the result is only read.
+    /// returns a shared handle to the cached vector.
     #[must_use]
     pub fn scored_arc(&self, classifier_name: &str) -> Arc<Vec<ScoredLink>> {
         let snap = self.snapshot_arc(classifier_name);
@@ -378,86 +379,54 @@ impl Scenario {
             .collect()
     }
 
-    /// Joins one classifier's inferences with the cleaned validation labels,
-    /// returning an owned copy (see [`Scenario::scored_arc`] for the
-    /// borrowing variant backing it).
-    #[must_use]
-    pub fn scored(&self, classifier_name: &str) -> Vec<ScoredLink> {
-        self.scored_arc(classifier_name).to_vec()
-    }
-
-    /// Scored links restricted to one class label (regional or topological).
+    /// Scored links restricted to one class label (regional or topological;
+    /// `none` and unknown labels match no link).
     #[must_use]
     pub fn scored_in_class(&self, classifier_name: &str, class: &str) -> Vec<ScoredLink> {
+        let region = region_code_of(class).filter(|&code| code != REGION_NONE);
+        let topo = topo_code_of(class);
         self.scored_arc(classifier_name)
             .iter()
             .filter(|s| {
-                self.classifier
-                    .region_class(s.link)
-                    .map(|c| c.label() == class)
-                    .unwrap_or(false)
-                    || self.classifier.topo_class(s.link) == class
+                let (r, t) = self.classifier.link_class(s.link);
+                region == Some(r) || topo == Some(t)
             })
             .copied()
             .collect()
     }
 
     /// Builds the Tables 1–3 analogue for one classifier: regional and
-    /// topological class rows merged into one table.
+    /// topological class rows in one table.
     #[must_use]
     pub fn eval_table(&self, classifier_name: &str) -> EvalTable {
-        let scored = self.scored_arc(classifier_name);
-        let regional = EvalTable::build(
+        EvalTable::build(
             classifier_name,
-            &scored,
-            |l| self.classifier.region_class(l).map(|c| c.label()),
+            &self.scored_arc(classifier_name),
+            |l| self.classifier.link_class(l),
             self.config.min_class_links,
-        );
-        let topo = EvalTable::build(
-            classifier_name,
-            &scored,
-            |l| Some(self.classifier.topo_class(l)),
-            self.config.min_class_links,
-        );
-        let mut rows = regional.rows;
-        rows.extend(topo.rows);
-        EvalTable {
-            classifier: classifier_name.to_owned(),
-            total: regional.total,
-            rows,
-        }
+        )
     }
 
-    /// Fig. 1: regional link share vs validation coverage. Aggregates on the
-    /// `Copy` [`crate::classes::RegionClass`] key; labels are materialised
-    /// once per class at the end.
+    /// The region × topology count grid over the inferred links, with
+    /// validation coverage.
+    fn class_grid(&self) -> ClassGrid {
+        ClassGrid::build(&self.inferred_links, &self.classifier, |l| {
+            self.validation.labels.contains_key(l)
+        })
+    }
+
+    /// Fig. 1: regional link share vs validation coverage.
     #[must_use]
     pub fn fig1(&self) -> Vec<ClassCoverage> {
-        let validated: BTreeSet<Link> = self.validation.labels.keys().copied().collect();
-        coverage_by_class_keyed(
-            &self.inferred_links,
-            &validated,
-            |l| self.classifier.region_class(l),
-            |c| c.label(),
-        )
+        self.class_grid().region_rows()
     }
 
-    /// Fig. 2: topological link share vs validation coverage. Aggregates on
-    /// the dense `u8` pair code (region-gated like the paper: links with
-    /// reserved/unmapped endpoints are discarded).
+    /// Fig. 2: topological link share vs validation coverage (region-gated
+    /// like the paper: links with reserved/unmapped endpoints are
+    /// discarded).
     #[must_use]
     pub fn fig2(&self) -> Vec<ClassCoverage> {
-        let validated: BTreeSet<Link> = self.validation.labels.keys().copied().collect();
-        coverage_by_class_keyed(
-            &self.inferred_links,
-            &validated,
-            |l| {
-                self.classifier
-                    .region_class(l)
-                    .map(|_| self.classifier.topo_pair_id(l))
-            },
-            |code| LinkClassifier::topo_pair_label(*code).to_string(),
-        )
+        self.class_grid().topo_rows()
     }
 
     /// Figs. 3 / 7 / 8 / 9: (inferred, validated) heatmaps over `TR°` links,
@@ -472,35 +441,23 @@ impl Scenario {
     /// use *that* classifier's cones instead of being hard-wired to ASRank.
     #[must_use]
     pub fn heatmaps_for(&self, classifier_name: &str, metric: HeatmapMetric) -> (Heatmap, Heatmap) {
-        let tr_links: Vec<Link> = self
+        let tr_tr = topo_code(TopoClass::TR, TopoClass::TR);
+        let mut tr_links: Vec<Link> = self
             .inferred_links
             .iter()
-            .filter(|l| self.classifier.is_tr_tr(**l))
+            .filter(|l| self.classifier.link_class(**l).1 == tr_tr)
             .copied()
             .collect();
+        if metric == HeatmapMetric::PpdcNoVp {
+            // Only this metric needs the vantage points (a walk over every path).
+            let vps: BTreeSet<asgraph::Asn> = self.paths.vantage_points().into_iter().collect();
+            tr_links.retain(|l| !vps.contains(&l.a()) && !vps.contains(&l.b()));
+        }
         let validated: Vec<Link> = tr_links
             .iter()
             .filter(|l| self.validation.labels.contains_key(l))
             .copied()
             .collect();
-
-        let vp_set: BTreeSet<asgraph::Asn> = self.paths.vantage_points().into_iter().collect();
-        let (tr_links, validated) = if metric == HeatmapMetric::PpdcNoVp {
-            (
-                tr_links
-                    .iter()
-                    .filter(|l| !vp_set.contains(&l.a()) && !vp_set.contains(&l.b()))
-                    .copied()
-                    .collect::<Vec<_>>(),
-                validated
-                    .iter()
-                    .filter(|l| !vp_set.contains(&l.a()) && !vp_set.contains(&l.b()))
-                    .copied()
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            (tr_links, validated)
-        };
 
         let config = match metric {
             HeatmapMetric::TransitDegree => HeatmapConfig::transit_degree(),
@@ -559,7 +516,7 @@ mod tests {
         assert!(s.inferences.contains_key("asrank"));
         assert!(s.inferences.contains_key("problink"));
         assert!(s.inferences.contains_key("toposcope"));
-        let scored = s.scored("asrank");
+        let scored = s.scored_arc("asrank");
         assert!(scored.len() > 100);
         // Every scored link is both validated and inferred.
         for sl in scored.iter().take(50) {

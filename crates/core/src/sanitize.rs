@@ -23,7 +23,7 @@
 //! (`cargo run -p xtask -- sanitize`), and in unit tests over deliberately
 //! corrupted inputs.
 
-use crate::classes::{LinkClassifier, TopoClass};
+use crate::classes::{topo_label_of, LinkClassifier, TopoClass};
 use crate::cleaning::CleanValidation;
 use crate::pipeline::Scenario;
 use asgraph::{check_valley_free, AsGraph, Asn, Link, NeighborRole, PathSet, Rel};
@@ -395,15 +395,6 @@ pub fn check_class_partition(
             detail: format!("ASes in both the Tier-1 and hypergiant lists: {overlap:?}"),
         });
     }
-    // Valid pair labels, ordered H < S < T1 < TR as the classifier emits.
-    let classes = [TopoClass::H, TopoClass::S, TopoClass::T1, TopoClass::TR];
-    let mut vocab: BTreeSet<String> = BTreeSet::new();
-    for (i, x) in classes.iter().enumerate() {
-        vocab.insert(format!("{}°", x.label()));
-        for y in &classes[i + 1..] {
-            vocab.insert(format!("{}-{}", x.label(), y.label()));
-        }
-    }
     let mut bad_labels = 0usize;
     let mut counts: BTreeMap<TopoClass, usize> = BTreeMap::new();
     let mut seen: BTreeSet<Asn> = BTreeSet::new();
@@ -413,13 +404,13 @@ pub fn check_class_partition(
                 *counts.entry(classifier.node_class(asn)).or_insert(0) += 1;
             }
         }
-        let label = classifier.topo_class(*link);
-        if !vocab.contains(&label) {
+        let (_, code) = classifier.link_class(*link);
+        if topo_label_of(code).is_none() {
             push_capped(
                 &mut out,
                 &mut bad_labels,
                 "class_label_vocabulary",
-                format!("link {link} got out-of-vocabulary class label {label:?}"),
+                format!("link {link} got out-of-vocabulary class code {code}"),
             );
         }
     }

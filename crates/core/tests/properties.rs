@@ -2,14 +2,14 @@
 //! normalisation, coverage accounting, cleaning invariants.
 
 use asgraph::{Asn, Link, Rel, RelClass};
-use breval_core::classes::LinkClassifier;
+use breval_core::classes::{LinkClassifier, TopoClass};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
-use breval_core::coverage::{coverage_by_class, coverage_by_class_keyed};
+use breval_core::coverage::ClassCoverage;
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
-use breval_core::metrics::{confusion, ConfusionMatrix, ScoredLink};
+use breval_core::metrics::{confusion, ClassEval, ConfusionMatrix, EvalTable, ScoredLink};
 use breval_core::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use valdata::{LabelSource, ValidationSet};
 
 fn arb_rel() -> impl Strategy<Value = Rel> {
@@ -195,38 +195,144 @@ fn degenerate_matrices_are_finite() {
     }
 }
 
-/// On a real scenario, the keyed coverage kernel (compact class keys,
-/// labels materialised at the end) yields exactly the rows of the
-/// string-keyed form, for both the region and the topology classifier.
+/// The region label of a link, built from the region map and the RIR
+/// abbreviations (`AR°`, `AF-AP`, …); `None` for unmapped endpoints.
+fn oracle_region(c: &LinkClassifier, l: Link) -> Option<String> {
+    let (a, b) = (c.region(l.a())?.abbrev(), c.region(l.b())?.abbrev());
+    Some(if a == b {
+        format!("{a}°")
+    } else {
+        format!("{}-{}", a.min(b), a.max(b))
+    })
+}
+
+/// The topology label of a link from its endpoints' node classes, in the
+/// paper's H, S, T1, TR pair order (`S-TR`, `TR°`, …).
+fn oracle_topo(c: &LinkClassifier, l: Link) -> String {
+    let order = [
+        (TopoClass::H, "H"),
+        (TopoClass::S, "S"),
+        (TopoClass::T1, "T1"),
+        (TopoClass::TR, "TR"),
+    ];
+    let rank = |asn| {
+        let class = c.node_class(asn);
+        order
+            .iter()
+            .position(|(t, _)| *t == class)
+            .expect("four classes")
+    };
+    let (x, y) = (rank(l.a()), rank(l.b()));
+    let (lo, hi) = (order[x.min(y)].1, order[x.max(y)].1);
+    if lo == hi {
+        format!("{lo}°")
+    } else {
+        format!("{lo}-{hi}")
+    }
+}
+
+/// Figs. 1–2 as a label-keyed fold: per-class (links, validated), shares
+/// over the classified links, sorted by share descending, then label.
+fn oracle_coverage(
+    links: &BTreeSet<Link>,
+    validated: &BTreeSet<Link>,
+    class_of: impl Fn(Link) -> Option<String>,
+) -> Vec<ClassCoverage> {
+    let mut per_class: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for l in links {
+        if let Some(class) = class_of(*l) {
+            let cell = per_class.entry(class).or_default();
+            cell.0 += 1;
+            cell.1 += usize::from(validated.contains(l));
+        }
+    }
+    let total: usize = per_class.values().map(|c| c.0).sum();
+    let mut rows: Vec<ClassCoverage> = per_class
+        .into_iter()
+        .map(|(class, (n, v))| ClassCoverage {
+            class,
+            inferred_links: n,
+            share: n as f64 / total.max(1) as f64,
+            validated_links: v,
+            coverage: v as f64 / n.max(1) as f64,
+        })
+        .collect();
+    rows.sort_by(|a, b| {
+        b.share
+            .partial_cmp(&a.share)
+            .unwrap()
+            .then_with(|| a.class.cmp(&b.class))
+    });
+    rows
+}
+
+/// Tables 1–3 as a label-keyed group-by: region rows (mapped links only)
+/// and topology rows (every link), each kept at ≥ `min_links` links.
+fn oracle_eval_table(s: &Scenario, name: &str) -> EvalTable {
+    let c = &s.classifier;
+    let scored = s.scored_arc(name);
+    let mut per_class: BTreeMap<String, Vec<ScoredLink>> = BTreeMap::new();
+    for sl in scored.iter() {
+        if let Some(region) = oracle_region(c, sl.link) {
+            per_class.entry(region).or_default().push(*sl);
+        }
+        per_class
+            .entry(oracle_topo(c, sl.link))
+            .or_default()
+            .push(*sl);
+    }
+    EvalTable {
+        classifier: name.to_owned(),
+        total: ClassEval::evaluate("Total°", &scored),
+        rows: per_class
+            .into_iter()
+            .filter(|(_, links)| links.len() >= s.config.min_class_links)
+            .map(|(class, links)| (class.clone(), ClassEval::evaluate(class, &links)))
+            .collect(),
+    }
+}
+
+/// On a real scenario, the code-pair folds behind Figs. 1–2, Tables 1–3
+/// and `scored_in_class` equal label-keyed folds whose labels come from
+/// the region map and the node classes, not from the code tables.
 #[test]
-fn keyed_coverage_equals_string_coverage_on_small_scenario() {
-    let scenario = Scenario::run(ScenarioConfig::small(42));
-    let c = &scenario.classifier;
-    let inferred = &scenario.inferred_links;
-    let validated: BTreeSet<Link> = scenario.validation.labels.keys().copied().collect();
+fn class_folds_equal_label_keyed_oracle_on_small_scenario() {
+    let s = Scenario::run(ScenarioConfig::small(42));
+    let c = &s.classifier;
+    let validated: BTreeSet<Link> = s.validation.labels.keys().copied().collect();
     assert!(!validated.is_empty());
 
-    let region_keyed = coverage_by_class_keyed(
-        inferred,
-        &validated,
-        |l| c.region_class(l),
-        |class| class.label(),
-    );
-    let region_strings = coverage_by_class(inferred, &validated, |l| {
-        c.region_class(l).map(|class| class.label())
+    let fig1 = oracle_coverage(&s.inferred_links, &validated, |l| oracle_region(c, l));
+    assert!(fig1.len() > 5, "{fig1:?}");
+    assert_eq!(s.fig1(), fig1);
+    let fig2 = oracle_coverage(&s.inferred_links, &validated, |l| {
+        oracle_region(c, l).map(|_| oracle_topo(c, l))
     });
-    assert!(!region_keyed.is_empty());
-    assert_eq!(region_keyed, region_strings);
+    assert!(fig2.len() > 5, "{fig2:?}");
+    assert_eq!(s.fig2(), fig2);
 
-    let topo_keyed = coverage_by_class_keyed(
-        inferred,
-        &validated,
-        |l| c.region_class(l).map(|_| c.topo_pair_id(l)),
-        |code| LinkClassifier::topo_pair_label(*code).to_string(),
-    );
-    let topo_strings = coverage_by_class(inferred, &validated, |l| {
-        c.region_class(l).map(|_| c.topo_class(l))
-    });
-    assert!(!topo_keyed.is_empty());
-    assert_eq!(topo_keyed, topo_strings);
+    for name in ["asrank", "problink", "toposcope"] {
+        let json = |t: &EvalTable| serde_json::to_string(t).expect("tables serialize");
+        let want = oracle_eval_table(&s, name);
+        assert!(want.rows.len() > 5, "{name}: {:?}", want.rows.keys());
+        assert_eq!(json(&s.eval_table(name)), json(&want), "{name}");
+    }
+
+    let scored = s.scored_arc("asrank");
+    for class in ["AR°", "AR-R", "T1-TR", "S-TR"] {
+        let want: Vec<ScoredLink> = scored
+            .iter()
+            .filter(|sl| {
+                oracle_region(c, sl.link).as_deref() == Some(class)
+                    || oracle_topo(c, sl.link) == class
+            })
+            .copied()
+            .collect();
+        assert!(!want.is_empty(), "{class}");
+        assert_eq!(s.scored_in_class("asrank", class), want, "{class}");
+    }
+    // `none` is the unmapped-region code's label, not a class; unknown
+    // labels match nothing.
+    assert!(s.scored_in_class("asrank", "none").is_empty());
+    assert!(s.scored_in_class("asrank", "bogus").is_empty());
 }

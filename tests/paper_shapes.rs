@@ -137,29 +137,27 @@ fn tables_s_t1_peerings_collapse() {
     }
 }
 
-#[test]
-fn tables_t1_tr_correctness_drops_vs_total() {
-    // The paper's headline: T1-TR correctness falls well below the global
-    // numbers for every classifier. ASRank/TopoScope lose P2P precision
-    // (partial-transit false positives); ProbLink loses recall instead —
-    // either way, the class MCC craters relative to Total°.
+/// The paper's headline: T1-TR correctness falls well below the global
+/// numbers for every classifier. ASRank/TopoScope lose P2P precision
+/// (partial-transit false positives); ProbLink loses recall instead —
+/// either way, the class MCC falls relative to Total°.
+fn assert_t1_tr_correctness_drops(s: &Scenario) {
     for name in ["asrank", "problink", "toposcope"] {
-        let table = scenario().eval_table(name);
+        let table = s.eval_table(name);
         let Some(row) = table.rows.get("T1-TR") else {
             panic!("{name}: T1-TR row missing");
         };
         let mcc_drop = table.total.mcc - row.mcc;
-        // (Smaller margin at test scale; the paper-scale harness shows ≥0.09.)
         assert!(
             mcc_drop > 0.02,
-            "{name}: expected ≥0.05 MCC drop on T1-TR, got {mcc_drop:.3} \
+            "{name}: expected >0.02 MCC drop on T1-TR, got {mcc_drop:.3} \
              (total {:.3}, class {:.3})",
             table.total.mcc,
             row.mcc
         );
     }
     // ASRank specifically exhibits the paper's precision drop.
-    let table = scenario().eval_table("asrank");
+    let table = s.eval_table("asrank");
     let row = &table.rows["T1-TR"];
     assert!(
         table.total.p2p.ppv() - row.p2p.ppv() > 0.05,
@@ -167,6 +165,20 @@ fn tables_t1_tr_correctness_drops_vs_total() {
         table.total.p2p.ppv(),
         row.p2p.ppv()
     );
+}
+
+#[test]
+fn tables_t1_tr_correctness_drops_vs_total() {
+    assert_t1_tr_correctness_drops(scenario());
+}
+
+/// The same bounds at paper scale (`ScenarioConfig::default()`; ~10 s in
+/// release on 2 hardware threads):
+/// `cargo test --release --test paper_shapes -- --ignored`.
+#[test]
+#[ignore = "paper-scale scenario; run in release with --ignored"]
+fn tables_t1_tr_correctness_drops_vs_total_at_paper_scale() {
+    assert_t1_tr_correctness_drops(&Scenario::run(ScenarioConfig::default()));
 }
 
 #[test]
