@@ -13,18 +13,19 @@
 //! Both hot kernels run over the dense core ([`crate::index::AsIndexer`] /
 //! [`crate::csr::CsrGraph`]): cone sizes come from an allocation-free BFS
 //! with per-worker [`ConeScratch`](crate::csr::ConeScratch) state, and PPDC
-//! cones are per-AS bitsets (one `u64` word per 64 observed ASes). The
-//! original BTree/hash implementations live on in [`baseline`] so the
-//! equivalence proptests can compare against them.
+//! cones are per-AS rows, sparse id lists or bitsets (one `u64` word per
+//! 64 observed ASes). The original BTree/hash implementations live on as
+//! the oracles of `crates/asgraph/tests/csr_equivalence.rs`.
 
 use crate::asn::Asn;
 use crate::csr::{ConeScratch, CsrGraph};
 use crate::graph::AsGraph;
+use crate::hash::FastHash;
 use crate::index::AsIndexer;
 use crate::link::Link;
 use crate::paths::PathSet;
 use crate::rel::Rel;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Computes the full customer cone of `asn` over `graph` (self included).
 ///
@@ -291,50 +292,105 @@ pub struct PpdcStorageStats {
 /// For each path `… u x d1 d2 …` where `u` is a provider or peer of `x`
 /// according to `rels`, every `di` is placed into `x`'s cone. The AS itself is
 /// always a member of its own cone.
+///
+/// The paths are split into one contiguous shard per worker. Each shard
+/// interns its ASes through a hashed set and then fills its own rows; a
+/// hop costs one probe into a hashed set of directed edges along which an
+/// AS is reached from a provider or peer, and a path is mapped to dense
+/// ids only if one of its hops qualifies. The shards' rows merge by
+/// union, and each merged row is sealed sparse or dense by its unique
+/// member count alone, so the result is the same at any shard or thread
+/// count.
 #[must_use]
 pub fn ppdc_cones(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
+    let all = paths.paths();
+    let shards = breval_par::max_threads();
+    let shard_range = |shard: usize| all.len() * shard / shards..all.len() * (shard + 1) / shards;
+
     // Intern every AS observed on a multi-hop compressed path — exactly the
     // key set of `PathStats::ases` (only `windows(2)` contribute degree),
-    // derived here without building the full path statistics. One compression
-    // buffer is reused across all paths, so the whole build allocates the
-    // indexer, the row table, and one bitset row per provider/peer-reached
-    // AS — nothing per path.
-    let mut buf: Vec<Asn> = Vec::new();
-    let mut observed: Vec<Asn> = Vec::new();
-    for op in paths.paths() {
-        compress_into(op.path.hops(), &mut buf);
-        if buf.len() >= 2 {
-            observed.extend_from_slice(&buf);
+    // derived here without building the full path statistics.
+    let shard_ases = breval_par::parallel_map(shards, |shard| {
+        let mut seen: HashSet<Asn, FastHash> = HashSet::default();
+        let mut buf = Vec::new();
+        for op in &all[shard_range(shard)] {
+            op.path.compress_into(&mut buf);
+            if buf.len() >= 2 {
+                seen.extend(&buf);
+            }
         }
+        seen
+    });
+    let mut observed: Vec<Asn> = Vec::with_capacity(shard_ases.iter().map(HashSet::len).sum());
+    for seen in shard_ases {
+        observed.extend(seen);
     }
     let indexer = AsIndexer::from_unsorted(observed);
+    let id_of: HashMap<Asn, u32, FastHash> = indexer.iter().zip(0u32..).collect();
     let n = indexer.len();
     let words = n.div_ceil(64);
     let cutoff = sparse_cutoff(n);
-    let mut rows: Vec<Option<BuildRow>> = vec![None; n];
-    for op in paths.paths() {
-        compress_into(op.path.hops(), &mut buf);
-        let c = buf.as_slice();
-        for i in 1..c.len() {
-            let upstream = c[i - 1];
-            let x = c[i];
-            let Some(link) = Link::new(upstream, x) else {
+
+    // Directed edges `upstream → x` along which `x` was reached from a
+    // provider or a peer: both directions of a P2p link, provider →
+    // customer of a P2c link, nothing for S2s.
+    let edge = |upstream: Asn, x: Asn| u64::from(upstream.0) << 32 | u64::from(x.0);
+    let mut downstream: HashSet<u64, FastHash> = HashSet::default();
+    for (link, rel) in rels {
+        let (a, b) = (link.a(), link.b());
+        match *rel {
+            Rel::P2p => {
+                downstream.insert(edge(a, b));
+                downstream.insert(edge(b, a));
+            }
+            Rel::P2c { provider } if provider == a => {
+                downstream.insert(edge(a, b));
+            }
+            Rel::P2c { provider } if provider == b => {
+                downstream.insert(edge(b, a));
+            }
+            Rel::P2c { .. } | Rel::S2s => {}
+        }
+    }
+
+    let shard_rows = breval_par::parallel_map(shards, |shard| {
+        let mut rows: Vec<Option<BuildRow>> = vec![None; n];
+        let (mut buf, mut ids) = (Vec::new(), Vec::new());
+        for op in &all[shard_range(shard)] {
+            op.path.compress_into(&mut buf);
+            let c = buf.as_slice();
+            let qualifies = |i: usize| downstream.contains(&edge(c[i - 1], c[i]));
+            let Some(first) = (1..c.len()).find(|&i| qualifies(i)) else {
                 continue;
             };
-            let from_provider_or_peer = match rels.get(&link) {
-                Some(Rel::P2p) => true,
-                Some(Rel::P2c { provider }) => *provider == upstream,
-                _ => false,
-            };
-            if from_provider_or_peer {
-                let x_id = indexer.id(x).expect("path hop is an observed AS");
-                // Self-membership, matching the `or_default().insert(asn)`
-                // of the hash-based baseline.
-                let row = rows[x_id as usize].get_or_insert_with(|| BuildRow::Sparse(vec![x_id]));
-                for &d in &c[i + 1..] {
-                    let d_id = indexer.id(d).expect("path hop is an observed AS");
-                    row.insert(d_id, cutoff, words);
+            ids.clear();
+            ids.extend(
+                c[first..]
+                    .iter()
+                    .map(|a| *id_of.get(a).expect("path hop is an observed AS")),
+            );
+            for i in first..c.len() {
+                if i > first && !qualifies(i) {
+                    continue;
                 }
+                let (x_id, behind) = (ids[i - first], &ids[i - first + 1..]);
+                // Self-membership: every reached AS is in its own cone.
+                rows[x_id as usize]
+                    .get_or_insert_with(|| BuildRow::Sparse(vec![x_id]))
+                    .extend(behind, cutoff, words);
+            }
+        }
+        rows
+    });
+    let mut shard_rows = shard_rows.into_iter();
+    let mut rows = shard_rows.next().unwrap_or_else(|| vec![None; n]);
+    for other in shard_rows {
+        for (row, part) in rows.iter_mut().zip(other) {
+            if let Some(part) = part {
+                *row = Some(match row.take() {
+                    Some(acc) => acc.union(part),
+                    None => part,
+                });
             }
         }
     }
@@ -359,10 +415,10 @@ enum BuildRow {
 }
 
 impl BuildRow {
-    fn insert(&mut self, id: u32, cutoff: usize, words: usize) {
+    fn extend(&mut self, members: &[u32], cutoff: usize, words: usize) {
         match self {
             BuildRow::Sparse(ids) => {
-                ids.push(id);
+                ids.extend_from_slice(members);
                 if ids.len() >= 2 * cutoff {
                     ids.sort_unstable();
                     ids.dedup();
@@ -371,7 +427,31 @@ impl BuildRow {
                     }
                 }
             }
-            BuildRow::Dense(bits) => bits[id as usize / 64] |= 1u64 << (id % 64),
+            BuildRow::Dense(bits) => set_bits(bits, members),
+        }
+    }
+
+    /// The union of two shards' accumulators for the same AS: sparse lists
+    /// concatenate, bitsets OR, and a sparse list meeting a bitset is set
+    /// into it. The result may hold duplicates or be sparse past the
+    /// cutoff; [`BuildRow::finish`] canonicalises either.
+    fn union(self, other: BuildRow) -> BuildRow {
+        match (self, other) {
+            (BuildRow::Sparse(mut a), BuildRow::Sparse(b)) => {
+                a.extend_from_slice(&b);
+                BuildRow::Sparse(a)
+            }
+            (BuildRow::Dense(mut a), BuildRow::Dense(b)) => {
+                for (word, other) in a.iter_mut().zip(b.iter()) {
+                    *word |= other;
+                }
+                BuildRow::Dense(a)
+            }
+            (BuildRow::Dense(mut bits), BuildRow::Sparse(ids))
+            | (BuildRow::Sparse(ids), BuildRow::Dense(mut bits)) => {
+                set_bits(&mut bits, &ids);
+                BuildRow::Dense(bits)
+            }
         }
     }
 
@@ -397,20 +477,13 @@ impl BuildRow {
 
 fn to_bitset(ids: &[u32], words: usize) -> Box<[u64]> {
     let mut bits = vec![0u64; words].into_boxed_slice();
-    for &id in ids {
-        bits[id as usize / 64] |= 1u64 << (id % 64);
-    }
+    set_bits(&mut bits, ids);
     bits
 }
 
-/// Writes the prepend-compressed form of `hops` into `buf` (cleared first),
-/// reusing its capacity across calls.
-fn compress_into(hops: &[Asn], buf: &mut Vec<Asn>) {
-    buf.clear();
-    for &hop in hops {
-        if buf.last() != Some(&hop) {
-            buf.push(hop);
-        }
+fn set_bits(bits: &mut [u64], ids: &[u32]) {
+    for &id in ids {
+        bits[id as usize / 64] |= 1u64 << (id % 64);
     }
 }
 
@@ -420,61 +493,6 @@ pub fn ppdc_sizes(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> ConeSizes {
     let sizes = ppdc_cones(paths, rels).sizes();
     breval_obs::counter("ppdc_sizes_computed", sizes.len() as u64);
     sizes
-}
-
-/// BTree/hash reference implementations of the cone kernels, kept callable
-/// so the CSR equivalence proptests can verify the dense kernels against
-/// them.
-pub mod baseline {
-    use super::*;
-    use std::collections::{HashMap, HashSet};
-
-    /// [`customer_cone_sizes_csr`](super::customer_cone_sizes_csr) as shipped
-    /// before the dense core: one fresh `BTreeSet` BFS per AS.
-    #[must_use]
-    pub fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
-        let ases: Vec<Asn> = graph.ases().collect();
-        let sizes: Vec<usize> =
-            breval_par::parallel_map(ases.len(), |i| customer_cone(graph, ases[i]).len());
-        ases.into_iter().zip(sizes).collect()
-    }
-
-    /// [`ppdc_cones`](super::ppdc_cones) as shipped before the dense core:
-    /// per-AS `HashSet` cones in a `HashMap`.
-    #[must_use]
-    pub fn ppdc_cones_hash(
-        paths: &PathSet,
-        rels: &BTreeMap<Link, Rel>,
-    ) -> HashMap<Asn, HashSet<Asn>> {
-        let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        for op in paths.paths() {
-            let c = op.path.compressed();
-            for i in 1..c.len() {
-                let upstream = c[i - 1];
-                let x = c[i];
-                let Some(link) = Link::new(upstream, x) else {
-                    continue;
-                };
-                let from_provider_or_peer = match rels.get(&link) {
-                    Some(Rel::P2p) => true,
-                    Some(Rel::P2c { provider }) => *provider == upstream,
-                    _ => false,
-                };
-                if from_provider_or_peer {
-                    let cone = cones.entry(x).or_default();
-                    for &d in &c[i + 1..] {
-                        cone.insert(d);
-                    }
-                }
-            }
-        }
-        // Every observed AS is in its own cone.
-        let stats = paths.stats();
-        for asn in stats.ases() {
-            cones.entry(asn).or_default().insert(asn);
-        }
-        cones
-    }
 }
 
 #[cfg(test)]
@@ -542,22 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_cone_sizes_match_btree_baseline() {
-        let mut g = AsGraph::new();
-        g.add_rel(l(1, 2), p2c(1)).unwrap();
-        g.add_rel(l(2, 3), p2c(2)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(4, 5), p2c(4)).unwrap();
-        g.add_rel(l(1, 6), Rel::P2p).unwrap();
-        let dense = customer_cone_sizes_csr(&CsrGraph::build(&g));
-        let reference = baseline::customer_cone_sizes_btree(&g);
-        assert_eq!(dense.len(), reference.len());
-        for (asn, size) in dense.iter() {
-            assert_eq!(reference.get(&asn), Some(&size));
-        }
-    }
-
-    #[test]
     fn ppdc_counts_only_provider_or_peer_upstream() {
         let mut rels = BTreeMap::new();
         rels.insert(l(1, 2), p2c(1)); // 1 provider of 2
@@ -613,12 +615,6 @@ mod tests {
         assert_eq!(cones.contains(Asn(2), Asn(12)), Some(true));
         assert_eq!(cones.contains(Asn(11), Asn(12)), Some(true));
         assert_eq!(cones.contains(Asn(11), Asn(3)), Some(false));
-        // Both forms agree with the hash baseline, member for member.
-        let reference = baseline::ppdc_cones_hash(&ps, &rels);
-        for (&asn, members) in &reference {
-            let expect: BTreeSet<Asn> = members.iter().copied().collect();
-            assert_eq!(cones.members(asn), Some(expect), "cone of {asn:?}");
-        }
     }
 
     #[test]
@@ -644,22 +640,95 @@ mod tests {
         );
     }
 
+    /// `ppdc_cones` under `threads` workers, one path shard each.
+    fn cones_at(threads: usize, ps: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
+        breval_par::with_thread_cap(Some(threads), || ppdc_cones(ps, rels))
+    }
+
+    fn assert_same_cones(a: &PpdcCones, b: &PpdcCones) {
+        assert_eq!(a.indexer, b.indexer);
+        assert_eq!(a.rows, b.rows);
+    }
+
     #[test]
-    fn ppdc_bitsets_match_hash_baseline() {
+    fn shard_merge_turns_rows_dense_only_on_the_union() {
+        // Eight paths, two per shard at four threads. AS2 is reached from
+        // its provider AS1 on one path of every shard, with three fresh
+        // ASes behind it: four members per shard, below the cutoff of 8,
+        // but 13 once merged. AS3 collects 9 members in the first shard
+        // (dense there) and 3 in the third (sparse there), so the merge
+        // also meets a sparse row with a dense one.
         let mut rels = BTreeMap::new();
         rels.insert(l(1, 2), p2c(1));
+        rels.insert(l(1, 3), p2c(1));
+        let path = |hops: Vec<u32>| AsPath::new(hops.into_iter().map(Asn).collect());
+        let via2 = |k: u32| path([1, 2].into_iter().chain(10 + 3 * k..13 + 3 * k).collect());
+        let shard_paths = [
+            [via2(0), path([1, 3].into_iter().chain(30..38).collect())],
+            [via2(1), path(vec![5, 6])],
+            [via2(2), path(vec![1, 3, 40, 41])],
+            [via2(3), path(vec![5, 6])],
+        ];
+        let mut ps = PathSet::new();
+        for pair in &shard_paths {
+            let mut alone = PathSet::new();
+            for p in pair {
+                ps.push(Asn(1), p.clone());
+                alone.push(Asn(1), p.clone());
+            }
+            assert_eq!(cones_at(1, &alone, &rels).size(Asn(2)), Some(4));
+        }
+
+        let merged = cones_at(4, &ps, &rels);
+        assert_eq!(sparse_cutoff(merged.indexer().len()), 8);
+        let id = |a: u32| merged.indexer().id(Asn(a)).unwrap() as usize;
+        assert!(matches!(merged.rows[id(2)], Some(PpdcRow::Dense(_))));
+        assert_eq!(merged.size(Asn(2)), Some(13));
+        assert!(matches!(merged.rows[id(3)], Some(PpdcRow::Dense(_))));
+        assert_eq!(merged.size(Asn(3)), Some(11));
+        assert_eq!(merged.contains(Asn(3), Asn(41)), Some(true));
+        for threads in [1, 2, 3, 6] {
+            assert_same_cones(&merged, &cones_at(threads, &ps, &rels));
+        }
+    }
+
+    #[test]
+    fn sibling_and_off_path_links_add_no_cone() {
+        let mut rels = BTreeMap::new();
+        rels.insert(l(1, 2), Rel::S2s); // on a path, but a sibling
         rels.insert(l(2, 3), p2c(2));
-        rels.insert(l(3, 4), p2c(3));
-        rels.insert(l(5, 2), Rel::P2p);
+        rels.insert(l(100, 200), Rel::P2p); // endpoints on no path
+        rels.insert(l(300, 400), p2c(400));
+        rels.insert(l(3, 500), p2c(3)); // one endpoint on no path
         let mut ps = PathSet::new();
         ps.push(Asn(1), AsPath::new(vec![Asn(1), Asn(2), Asn(3), Asn(4)]));
-        ps.push(Asn(5), AsPath::new(vec![Asn(5), Asn(2), Asn(3)]));
-        let dense = ppdc_cones(&ps, &rels);
-        let reference = baseline::ppdc_cones_hash(&ps, &rels);
-        assert_eq!(dense.indexer().len(), reference.len());
-        for (&asn, members) in &reference {
-            let expect: BTreeSet<Asn> = members.iter().copied().collect();
-            assert_eq!(dense.members(asn), Some(expect), "cone of {asn:?}");
+        ps.push(Asn(9), AsPath::new(vec![Asn(9)])); // one hop: never observed
+        for threads in [1, 4] {
+            let cones = cones_at(threads, &ps, &rels);
+            let observed: Vec<Asn> = cones.indexer().iter().collect();
+            assert_eq!(observed, vec![Asn(1), Asn(2), Asn(3), Asn(4)]);
+            assert_eq!(cones.size(Asn(2)), Some(1), "sibling upstream");
+            assert_eq!(
+                cones.members(Asn(3)),
+                Some(BTreeSet::from([Asn(3), Asn(4)]))
+            );
+            for asn in [9, 100, 200, 300, 400, 500] {
+                assert_eq!(cones.size(Asn(asn)), None, "AS{asn} is on no path");
+            }
+            assert_eq!(cones.rows.iter().flatten().count(), 1);
+        }
+    }
+
+    #[test]
+    fn empty_pathset_yields_empty_cones() {
+        let mut rels = BTreeMap::new();
+        rels.insert(l(1, 2), p2c(1));
+        for threads in [1, 4] {
+            let cones = cones_at(threads, &PathSet::new(), &rels);
+            assert!(cones.indexer().is_empty());
+            assert!(cones.rows.is_empty());
+            assert_eq!(cones.size(Asn(1)), None);
+            assert_eq!(cones.storage_stats(), PpdcStorageStats::default());
         }
     }
 }

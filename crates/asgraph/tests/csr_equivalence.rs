@@ -1,11 +1,120 @@
 //! Property-based equivalence of the dense core against the BTree substrate:
 //! `CsrGraph` must mirror `AsGraph` exactly (per-role neighbors, cone sets,
-//! cone sizes) and the bitset PPDC cones must match the hash-based baseline
-//! on arbitrary seeded inputs.
+//! cone sizes) and the hybrid PPDC cones must match the hash-based baseline
+//! on arbitrary seeded inputs. The baselines are the kernels as shipped
+//! before the dense core, kept here as oracles.
 
 use asgraph::{cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// Whole-graph cone sizes as shipped before the dense core: one fresh
+/// `BTreeSet` BFS per AS.
+fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
+    graph
+        .ases()
+        .map(|asn| (asn, cone::customer_cone(graph, asn).len()))
+        .collect()
+}
+
+/// [`cone::ppdc_cones`] as shipped before the dense core: per-AS `HashSet`
+/// cones in a `HashMap`.
+fn ppdc_cones_hash(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> HashMap<Asn, HashSet<Asn>> {
+    let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    for op in paths.paths() {
+        let c = op.path.compressed();
+        for i in 1..c.len() {
+            let upstream = c[i - 1];
+            let x = c[i];
+            let Some(link) = Link::new(upstream, x) else {
+                continue;
+            };
+            let from_provider_or_peer = match rels.get(&link) {
+                Some(Rel::P2p) => true,
+                Some(Rel::P2c { provider }) => *provider == upstream,
+                _ => false,
+            };
+            if from_provider_or_peer {
+                let cone = cones.entry(x).or_default();
+                for &d in &c[i + 1..] {
+                    cone.insert(d);
+                }
+            }
+        }
+    }
+    // Every observed AS is in its own cone.
+    for asn in paths.stats().ases() {
+        cones.entry(asn).or_default().insert(asn);
+    }
+    cones
+}
+
+/// Asserts that `paths`' hybrid PPDC cones hold exactly the oracle's
+/// members, AS for AS.
+fn assert_ppdc_matches_oracle(paths: &PathSet, rels: &BTreeMap<Link, Rel>) {
+    let dense = cone::ppdc_cones(paths, rels);
+    let reference = ppdc_cones_hash(paths, rels);
+    assert_eq!(dense.indexer().len(), reference.len());
+    for (&asn, members) in &reference {
+        let expect: BTreeSet<Asn> = members.iter().copied().collect();
+        assert_eq!(dense.members(asn), Some(expect), "cone of {asn:?}");
+    }
+}
+
+fn l(a: u32, b: u32) -> Link {
+    Link::new(Asn(a), Asn(b)).expect("distinct endpoints")
+}
+
+fn p2c(provider: u32) -> Rel {
+    Rel::P2c {
+        provider: Asn(provider),
+    }
+}
+
+#[test]
+fn dense_cone_sizes_match_btree_baseline() {
+    let mut g = AsGraph::new();
+    g.add_rel(l(1, 2), p2c(1)).expect("fresh link");
+    g.add_rel(l(2, 3), p2c(2)).expect("fresh link");
+    g.add_rel(l(2, 4), p2c(2)).expect("fresh link");
+    g.add_rel(l(4, 5), p2c(4)).expect("fresh link");
+    g.add_rel(l(1, 6), Rel::P2p).expect("fresh link");
+    let dense = cone::customer_cone_sizes_csr(&CsrGraph::build(&g));
+    let reference = customer_cone_sizes_btree(&g);
+    assert_eq!(dense.len(), reference.len());
+    for (asn, size) in dense.iter() {
+        assert_eq!(reference.get(&asn), Some(&size));
+    }
+}
+
+/// A provider chain 1→2→…→12 puts both row forms side by side (the long
+/// cones go dense, the tail cones stay sparse); both match the oracle.
+#[test]
+fn hybrid_chain_rows_match_hash_baseline() {
+    let chain: Vec<u32> = (1..=12).collect();
+    let mut rels = BTreeMap::new();
+    for w in chain.windows(2) {
+        rels.insert(l(w[0], w[1]), p2c(w[0]));
+    }
+    let mut ps = PathSet::new();
+    ps.push(Asn(1), AsPath::new(chain.iter().map(|&a| Asn(a)).collect()));
+    let stats = cone::ppdc_cones(&ps, &rels).storage_stats();
+    assert!(stats.dense_rows > 0 && stats.sparse_rows > 0, "{stats:?}");
+    assert_ppdc_matches_oracle(&ps, &rels);
+}
+
+#[test]
+fn ppdc_bitsets_match_hash_baseline() {
+    let mut rels = BTreeMap::new();
+    rels.insert(l(1, 2), p2c(1));
+    rels.insert(l(2, 3), p2c(2));
+    rels.insert(l(3, 4), p2c(3));
+    rels.insert(l(5, 2), Rel::P2p);
+    let mut ps = PathSet::new();
+    ps.push(Asn(1), AsPath::new(vec![Asn(1), Asn(2), Asn(3), Asn(4)]));
+    ps.push(Asn(5), AsPath::new(vec![Asn(5), Asn(2), Asn(3)]));
+    assert_ppdc_matches_oracle(&ps, &rels);
+}
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
     (1u32..200).prop_map(Asn)
@@ -91,7 +200,7 @@ proptest! {
     #[test]
     fn dense_cone_sizes_match_baseline(g in arb_graph()) {
         let dense = cone::customer_cone_sizes_csr(&CsrGraph::build(&g));
-        let reference = cone::baseline::customer_cone_sizes_btree(&g);
+        let reference = customer_cone_sizes_btree(&g);
         prop_assert_eq!(dense.len(), reference.len());
         for (asn, size) in dense.iter() {
             prop_assert_eq!(reference.get(&asn).copied(), Some(size));
@@ -104,9 +213,9 @@ proptest! {
     /// iteration — whichever representation each row landed on.
     #[test]
     fn ppdc_bitsets_match_baseline(ps in arb_pathset(), g in arb_graph()) {
-        let rels: std::collections::BTreeMap<Link, Rel> = g.links().collect();
+        let rels: BTreeMap<Link, Rel> = g.links().collect();
         let dense = cone::ppdc_cones(&ps, &rels);
-        let reference = cone::baseline::ppdc_cones_hash(&ps, &rels);
+        let reference = ppdc_cones_hash(&ps, &rels);
         prop_assert_eq!(dense.indexer().len(), reference.len());
         let sizes = dense.sizes();
         let all: Vec<Asn> = dense.indexer().iter().collect();

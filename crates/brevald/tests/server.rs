@@ -11,9 +11,13 @@ use brevald::slices;
 use brevald::store::SnapshotStore;
 use std::io::Cursor;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const SEED: u64 = 31;
+
+/// Serialises the tests whose reloads fail: `brevald_reload_errors` is a
+/// process-global counter, so a concurrent failure would skew a delta.
+static RELOAD_ERRORS: Mutex<()> = Mutex::new(());
 
 fn config() -> ScenarioConfig {
     ScenarioConfig::small(SEED)
@@ -186,6 +190,7 @@ fn reload_swaps_in_a_new_generation_over_the_wire() {
 
 #[test]
 fn reload_failure_keeps_the_old_generation_serving() {
+    let _serial = RELOAD_ERRORS.lock().unwrap_or_else(|e| e.into_inner());
     let (_, dir) = fixture();
     let missing = dir.join("no_such_subdir");
     let store = Arc::new(SnapshotStore::new(SnapshotSet::empty()));
@@ -205,4 +210,67 @@ fn reload_failure_keeps_the_old_generation_serving() {
         "failed reload must not swap: {out}"
     );
     assert!(lines[2].starts_with("ok stats gen=0 "), "{out}");
+}
+
+/// Runs `input` through `server` and returns its reply lines.
+fn serve_lines(server: &mut Server, input: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    server
+        .serve(Cursor::new(input.as_bytes().to_vec()), &mut out)
+        .expect("in-memory transport never fails");
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    out.lines().map(str::to_owned).collect()
+}
+
+#[test]
+fn corrupt_snapshot_files_fail_the_reload_and_keep_the_old_generation() {
+    let _serial = RELOAD_ERRORS.lock().unwrap_or_else(|e| e.into_inner());
+    breval_obs::set_enabled(true);
+    let (scenario, _) = fixture();
+    let dir = std::env::temp_dir().join("brevald_server_corrupt_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    SnapshotSet::save_all(scenario, &dir).expect("persist snapshots");
+    let store = Arc::new(SnapshotStore::new(SnapshotSet::empty()));
+    let mut server = Server::new(Arc::clone(&store), dir.clone(), config());
+    let lines = serve_lines(&mut server, "reload\ndrain\nstats\n");
+    assert_eq!(lines[1], "ok drain gen=1", "{lines:?}");
+    let serving = lines[2].clone();
+    assert!(
+        serving.starts_with("ok stats gen=1 classifiers=4 "),
+        "{serving}"
+    );
+
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("snapshot dir readable")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| std::fs::read(p).is_ok_and(|b| b.starts_with(b"BREVSNAP")))
+        .collect();
+    snaps.sort();
+    assert_eq!(snaps.len(), 4, "one BREVSNAP file per classifier");
+    let (flipped, truncated) = (&snaps[0], &snaps[1]);
+    let intact = std::fs::read(flipped).expect("snapshot readable");
+    let truncated_bytes = std::fs::read(truncated).expect("snapshot readable");
+
+    // Each reload must fail once and leave generation 1 serving.
+    let reload_fails = |server: &mut Server, what: &str| {
+        let errors = breval_obs::counter_value("brevald_reload_errors");
+        let lines = serve_lines(server, "reload\ndrain\nstats\n");
+        assert_eq!(lines[0], "ok reload started", "{what}: {lines:?}");
+        assert_eq!(lines[1], "ok drain gen=1", "{what}: {lines:?}");
+        assert_eq!(lines[2], serving, "{what}: the old generation serves");
+        assert_eq!(
+            breval_obs::counter_value("brevald_reload_errors"),
+            errors + 1,
+            "{what}: one reload error per failed reload"
+        );
+    };
+    let mut flipped_bytes = intact.clone();
+    flipped_bytes[0] ^= 0xff; // inside the magic
+    std::fs::write(flipped, &flipped_bytes).expect("rewrite snapshot");
+    reload_fails(&mut server, "flipped byte");
+    std::fs::write(flipped, &intact).expect("restore snapshot");
+    std::fs::write(truncated, &truncated_bytes[..truncated_bytes.len() / 2])
+        .expect("truncate snapshot");
+    reload_fails(&mut server, "truncated file");
+    assert_eq!(store.current().generation(), 1);
 }

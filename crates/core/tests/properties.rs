@@ -2,9 +2,10 @@
 //! normalisation, coverage accounting, cleaning invariants.
 
 use asgraph::{Asn, Link, Rel, RelClass};
-use breval_core::classes::{LinkClassifier, TopoClass};
+use asregistry::{IanaAsnTable, RegionMap};
+use breval_core::classes::{LinkClassifier, TopoClass, REGION_NONE};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
-use breval_core::coverage::ClassCoverage;
+use breval_core::coverage::{ClassCoverage, ClassGrid};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
 use breval_core::metrics::{confusion, ClassEval, ConfusionMatrix, EvalTable, ScoredLink};
 use breval_core::{Scenario, ScenarioConfig};
@@ -294,10 +295,56 @@ fn oracle_eval_table(s: &Scenario, name: &str) -> EvalTable {
 
 /// On a real scenario, the code-pair folds behind Figs. 1–2, Tables 1–3
 /// and `scored_in_class` equal label-keyed folds whose labels come from
-/// the region map and the node classes, not from the code tables.
+/// the region map and the node classes, not from the code tables. The
+/// second pass swaps in a region map that lost every 20th delegation and
+/// the IANA bootstrap, so the §5 rule that discards links with an
+/// unmapped endpoint runs on real data too.
 #[test]
 fn class_folds_equal_label_keyed_oracle_on_small_scenario() {
-    let s = Scenario::run(ScenarioConfig::small(42));
+    let mut s = Scenario::run(ScenarioConfig::small(42));
+    assert_class_folds_match_oracle(&s);
+
+    let mut files = s.topology.delegation_files("20180405");
+    for file in &mut files {
+        let mut k = 0usize;
+        file.records.retain(|_| {
+            k += 1;
+            !k.is_multiple_of(20)
+        });
+    }
+    s.classifier = LinkClassifier::with_cone_sizes(
+        RegionMap::build(IanaAsnTable::new(), &files),
+        s.classifier.cone_sizes_arc(),
+        s.topology.tier1.clone(),
+        s.topology.hypergiants.clone(),
+    );
+    let c = &s.classifier;
+    let observed: BTreeSet<Asn> = s
+        .inferred_links
+        .iter()
+        .flat_map(|l| [l.a(), l.b()])
+        .collect();
+    let unmapped = observed
+        .iter()
+        .filter(|&&asn| c.region(asn).is_none())
+        .count();
+    assert!(
+        unmapped * 100 >= observed.len(),
+        "{unmapped} of {} observed ASes unmapped",
+        observed.len()
+    );
+    let grid = ClassGrid::build(&s.inferred_links, c, |_| false);
+    let none_links = grid.slice_counts(Some(REGION_NONE), None).0;
+    assert!(none_links > 0, "the `none` region row is empty");
+    let fig1_links: usize = s.fig1().iter().map(|r| r.inferred_links).sum();
+    assert_eq!(
+        fig1_links as u64 + none_links,
+        s.inferred_links.len() as u64
+    );
+    assert_class_folds_match_oracle(&s);
+}
+
+fn assert_class_folds_match_oracle(s: &Scenario) {
     let c = &s.classifier;
     let validated: BTreeSet<Link> = s.validation.labels.keys().copied().collect();
     assert!(!validated.is_empty());
@@ -313,7 +360,7 @@ fn class_folds_equal_label_keyed_oracle_on_small_scenario() {
 
     for name in ["asrank", "problink", "toposcope"] {
         let json = |t: &EvalTable| serde_json::to_string(t).expect("tables serialize");
-        let want = oracle_eval_table(&s, name);
+        let want = oracle_eval_table(s, name);
         assert!(want.rows.len() > 5, "{name}: {:?}", want.rows.keys());
         assert_eq!(json(&s.eval_table(name)), json(&want), "{name}");
     }

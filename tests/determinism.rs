@@ -150,6 +150,32 @@ fn link_metrics_and_compiler_match_across_thread_caps() {
     }
 }
 
+/// The PPDC cone build (paths sharded over the pool, rows merged by union)
+/// must serialise byte-identically at 1 and 4 threads for every
+/// classifier: the same rows in the same sparse/dense form.
+#[test]
+fn ppdc_cones_match_across_thread_caps() {
+    use breval::asgraph::cone::ppdc_cones;
+    use breval::asgraph::io::{write_ppdc_cones, ByteWriter};
+    let s = Scenario::run(ScenarioConfig::small(42));
+    for name in ["asrank", "problink", "toposcope", "gao"] {
+        let rels = &s.inference(name).unwrap().rels;
+        let bytes = |threads: usize| {
+            let cones = breval::par::with_thread_cap(Some(threads), || ppdc_cones(&s.paths, rels));
+            let mut w = ByteWriter::new();
+            write_ppdc_cones(&mut w, &cones);
+            w.into_bytes()
+        };
+        let single = bytes(1);
+        assert!(single.len() > 1_000, "{name}: no PPDC rows built");
+        assert_eq!(
+            single,
+            bytes(4),
+            "{name}: PPDC cone bytes must not depend on thread count"
+        );
+    }
+}
+
 #[test]
 fn different_seed_different_world() {
     let a = Scenario::run(ScenarioConfig::small(7));
